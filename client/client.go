@@ -4,11 +4,11 @@
 // reuses a small pool of connections across calls, and surfaces
 // server-side failures as typed errors.
 //
-// By default the client negotiates the binary streaming extension on
-// each connection (a hello handshake): query results then arrive as
-// column-major row-batch frames decoded incrementally — both behind the
-// buffered Query API and the incremental QueryStream iterator — and fall
-// back to plain JSON frames transparently against old servers.
+// Each connection opens with a hello handshake at the server's protocol
+// version. Query results arrive as column-major row-batch frames under
+// credit-based flow control, decoded incrementally — both behind the
+// buffered Query API and the incremental QueryStream iterator — and
+// publishes travel as one typed batch frame.
 //
 //	cl, _ := client.Dial("127.0.0.1:7101")
 //	defer cl.Close()
@@ -42,14 +42,12 @@ var (
 	// ErrTimeout reports a server-side request timeout (admission wait
 	// included).
 	ErrTimeout = errors.New("timeout")
-	// ErrFrameTooLarge reports a single wire frame exceeding the
-	// connection's negotiated limit — typically a buffered JSON result
-	// too big for one frame. Streamed binary results are not subject to
-	// a whole-result cap; retry with the binary codec.
+	// ErrFrameTooLarge reports a request, control response, or stream
+	// End frame exceeding the connection's negotiated frame limit (a
+	// publish too big for one frame, a plan or error message past the
+	// cap). Result rows never hit it: they arrive in batch frames that
+	// each fit.
 	ErrFrameTooLarge = errors.New("frame too large")
-	// ErrBinaryUnsupported reports that the server does not speak the
-	// binary streaming extension while Options.Codec required it.
-	ErrBinaryUnsupported = errors.New("server does not support binary streaming")
 	// ErrCancelled reports a stream terminated by a cancel frame.
 	ErrCancelled = errors.New("stream cancelled")
 	// ErrServer reports any other server-side failure.
@@ -84,18 +82,6 @@ func (e *Error) Unwrap() error {
 	return ErrServer
 }
 
-// Codec names for Options.Codec.
-const (
-	// CodecAuto negotiates binary streaming and falls back to JSON
-	// against servers that predate it (the default).
-	CodecAuto = "auto"
-	// CodecBinary requires binary streaming; dialing an old server
-	// fails with ErrBinaryUnsupported.
-	CodecBinary = "binary"
-	// CodecJSON forces the plain JSON result path (no hello handshake).
-	CodecJSON = "json"
-)
-
 // Options tunes a Client.
 type Options struct {
 	// PoolSize caps idle connections kept for reuse per endpoint
@@ -107,9 +93,6 @@ type Options struct {
 	// deadline of their own (hello, stream-cancel drain, membership
 	// refresh).
 	DialTimeout time.Duration
-	// Codec selects the result codec: CodecAuto (default), CodecBinary,
-	// or CodecJSON.
-	Codec string
 	// MaxFrame bounds a single inbound frame (default server.MaxFrame);
 	// offered to the server during negotiation, which uses the min of
 	// the two peers' limits.
@@ -144,10 +127,6 @@ type Client struct {
 	retry RetryPolicy
 	seeds []string
 
-	// jsonOnly latches when the server rejects the hello handshake, so
-	// later dials skip the wasted round trip (CodecAuto only).
-	jsonOnly atomic.Bool
-
 	rr         atomic.Uint64 // round-robin cursor
 	ctr        counters
 	refreshing atomic.Bool
@@ -163,14 +142,6 @@ type wireConn struct {
 	net.Conn
 	br *bufio.Reader
 	ep *endpoint // owning endpoint (pool, load and health bookkeeping)
-	// binary reports a successful FeatureBinaryStream negotiation.
-	binary bool
-	// binaryPublish reports FeatureBinaryPublish: publishes may cross the
-	// wire as one typed column-major batch frame instead of JSON rows.
-	binaryPublish bool
-	// publishID reports FeaturePublishID: the server deduplicates
-	// publishes by their client-chosen ID, making them safe to retry.
-	publishID bool
 	// maxFrame is the negotiated frame limit, enforced in both
 	// directions. (The negotiated stream window needs no client state:
 	// it governs the server's sending, and the client grants one credit
@@ -178,9 +149,9 @@ type wireConn struct {
 	maxFrame int64
 }
 
-// Dial validates connectivity to addr (performing the protocol handshake
-// unless Codec is CodecJSON) and returns a Client. addr plus
-// Options.Endpoints seed the cluster member list.
+// Dial validates connectivity to addr (performing the hello handshake)
+// and returns a Client. addr plus Options.Endpoints seed the cluster
+// member list.
 func Dial(addr string, opts ...Options) (*Client, error) {
 	var o Options
 	if len(opts) > 0 {
@@ -191,13 +162,6 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	switch o.Codec {
-	case "", CodecAuto:
-		o.Codec = CodecAuto
-	case CodecBinary, CodecJSON:
-	default:
-		return nil, fmt.Errorf("orchestra client: unknown codec %q", o.Codec)
 	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = server.MaxFrame
@@ -261,9 +225,6 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 		ep:       ep,
 		maxFrame: c.opts.MaxFrame,
 	}
-	if c.opts.Codec == CodecJSON || (c.opts.Codec == CodecAuto && c.jsonOnly.Load()) {
-		return conn, nil
-	}
 	if err := c.hello(conn); err != nil {
 		nc.Close()
 		return nil, err
@@ -271,9 +232,9 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 	return conn, nil
 }
 
-// hello negotiates the binary streaming extension on a fresh connection.
-// Old servers answer with bad_request (unknown op); CodecAuto degrades
-// to JSON, CodecBinary surfaces ErrBinaryUnsupported.
+// hello performs the opening handshake on a fresh connection: it offers
+// the client's frame and window limits at this build's protocol version
+// and adopts the negotiated frame limit.
 func (c *Client) hello(conn *wireConn) error {
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -282,12 +243,11 @@ func (c *Client) hello(conn *wireConn) error {
 		Op: server.OpHello,
 		Hello: &server.HelloRequest{
 			Version:  server.ProtocolVersion,
-			Features: []string{server.FeatureBinaryStream, server.FeatureBinaryPublish, server.FeaturePublishID},
 			MaxFrame: c.opts.MaxFrame,
 			Window:   c.opts.StreamWindow,
 		},
 	}
-	if err := server.WriteFrame(conn.Conn, req); err != nil {
+	if err := writeRequest(conn, req); err != nil {
 		return fmt.Errorf("orchestra client: hello: %w", err)
 	}
 	resp, _, err := readResponse(conn)
@@ -295,37 +255,11 @@ func (c *Client) hello(conn *wireConn) error {
 		return fmt.Errorf("orchestra client: hello: %w", err)
 	}
 	if resp.Error != nil {
-		if resp.Error.Code == server.CodeBadRequest {
-			// Pre-hello server.
-			if c.opts.Codec == CodecBinary {
-				return fmt.Errorf("orchestra client: %w (%s)", ErrBinaryUnsupported, resp.Error.Message)
-			}
-			c.jsonOnly.Store(true)
-			return nil
-		}
 		return &Error{Code: resp.Error.Code, Message: resp.Error.Message}
 	}
 	h := resp.Hello
-	if h == nil {
+	if h == nil || h.Version != server.ProtocolVersion {
 		return errors.New("orchestra client: malformed hello response")
-	}
-	for _, f := range h.Features {
-		switch f {
-		case server.FeatureBinaryStream:
-			conn.binary = true
-		case server.FeatureBinaryPublish:
-			conn.binaryPublish = true
-		case server.FeaturePublishID:
-			conn.publishID = true
-		}
-	}
-	conn.binaryPublish = conn.binaryPublish && conn.binary // tagged frames require the stream extension
-	if !conn.binary {
-		if c.opts.Codec == CodecBinary {
-			return fmt.Errorf("orchestra client: %w (server version %d)", ErrBinaryUnsupported, h.Version)
-		}
-		c.jsonOnly.Store(true)
-		return nil
 	}
 	if h.MaxFrame > 0 {
 		// Adopt the negotiated limit in both directions (the server
@@ -336,19 +270,28 @@ func (c *Client) hello(conn *wireConn) error {
 	return nil
 }
 
-// readResponse reads one JSON response of either framing, returning the
-// frame's wire size for accounting.
-func readResponse(conn *wireConn) (*server.Response, int64, error) {
-	kind, payload, isBinary, err := server.ReadRawFrame(conn.br, conn.maxFrame)
+// readFrame reads one frame off conn, mapping frame-size violations onto
+// ErrFrameTooLarge. n is the frame's wire size, for accounting.
+func readFrame(conn *wireConn) (kind server.FrameKind, payload []byte, n int64, err error) {
+	kind, payload, err = server.ReadRawFrame(conn.br, conn.maxFrame)
 	if err != nil {
 		var fse *server.FrameSizeError
 		if errors.As(err, &fse) {
-			return nil, 0, fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d",
+			err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d",
 				ErrFrameTooLarge, fse.Size, fse.Max)
 		}
+		return 0, nil, 0, err
+	}
+	return kind, payload, int64(5 + len(payload)), nil // header + kind byte
+}
+
+// readResponse reads one JSON response frame, returning its wire size
+// for accounting.
+func readResponse(conn *wireConn) (*server.Response, int64, error) {
+	kind, payload, n, err := readFrame(conn)
+	if err != nil {
 		return nil, 0, err
 	}
-	n := frameWireSize(payload, isBinary)
 	if kind != server.FrameJSON {
 		return nil, n, fmt.Errorf("orchestra client: unexpected %v frame", kind)
 	}
@@ -357,14 +300,6 @@ func readResponse(conn *wireConn) (*server.Response, int64, error) {
 		return nil, n, err
 	}
 	return &resp, n, nil
-}
-
-func frameWireSize(payload []byte, isBinary bool) int64 {
-	n := int64(4 + len(payload))
-	if isBinary {
-		n++ // kind byte
-	}
-	return n
 }
 
 // connCall wires context cancellation to a connection held by one call:
@@ -427,7 +362,7 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 	idempotent := req.Op != server.OpCreate
 	var resp *server.Response
 	var n int64
-	_, err := c.withRetry(ctx, idempotent, false, func(conn *wireConn) error {
+	_, err := c.withRetry(ctx, idempotent, func(conn *wireConn) error {
 		r, sz, err := c.roundTripOn(ctx, conn, req)
 		if err != nil {
 			return err
@@ -446,7 +381,7 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 // an oversized request fails fast with ErrFrameTooLarge instead of
 // making the server abort the connection.
 func writeRequest(conn *wireConn, req *server.Request) error {
-	frame, err := server.AppendFrame(nil, req, conn.maxFrame)
+	frame, err := server.AppendJSONFrame(nil, req, conn.maxFrame)
 	if err != nil {
 		var fse *server.FrameSizeError
 		if errors.As(err, &fse) {
@@ -504,51 +439,35 @@ func (c *Client) Create(ctx context.Context, relation string, columns []string, 
 }
 
 // Publish inserts a batch of rows as one published update and returns
-// the new global epoch. Values may be int, int64, float64, or string.
+// the new global epoch. Values may be int, int64, float64, or string; the
+// rows cross the wire as one typed column-major batch frame, and the
+// server coerces each column onto the relation's type. Rows the batch
+// cannot carry — another Go type, a column mixing strings and numbers,
+// rows of different lengths — fail before anything is sent, with an
+// error that unwraps to ErrBadRequest.
 //
-// Every publish carries a random publish ID. Servers with the
-// publish-id extension record it with the commit and answer a duplicate
-// with the original epoch, which makes a publish whose outcome was lost
-// to a connection failure safe to retry on another endpoint — the
-// client does so automatically under Options.Retry, but only when both
-// the failed and the retry connection negotiated the extension.
-//
-// On connections that negotiated the binary publish extension the rows
-// cross the wire as one typed column-major batch frame (tuple.AppendBatch),
-// eliminating JSON marshaling here and per-value coercion on the server;
-// rows the batch codec cannot carry (mixed value types within a column,
-// unsupported Go types) and old servers fall back to the JSON request
-// transparently.
+// Every publish carries a random publish ID. Servers record it with the
+// commit and answer a duplicate with the original epoch, which makes a
+// publish whose outcome was lost to a connection failure safe to retry
+// on another endpoint — the client does so automatically under
+// Options.Retry.
 func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("orchestra client: %w", err)
 	}
-	pubID := newPublishID()
+	typed, err := typedRowsOf(rows)
+	if err != nil {
+		return 0, err
+	}
+	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, typed, publishCompressMin)
+	if err != nil {
+		return 0, fmt.Errorf("orchestra client: publish: %w", err)
+	}
 	var epoch uint64
-	_, err := c.withRetry(ctx, false, true, func(conn *wireConn) error {
-		if conn.binaryPublish {
-			if typed, ok := typedRowsOf(rows); ok {
-				e, err, fellBack := c.publishBinary(ctx, conn, relation, pubID, typed)
-				if !fellBack {
-					if err != nil {
-						return err
-					}
-					epoch = e
-					return nil
-				}
-				// The batch frame could not be built (e.g. mixed column
-				// types): the connection is untouched, reuse it for JSON.
-			}
-		}
-		resp, _, err := c.roundTripOn(ctx, conn, &server.Request{
-			Op:      server.OpPublish,
-			Publish: &server.PublishRequest{Relation: relation, PublishID: pubID, Rows: rows},
-		})
-		if err != nil {
-			return err
-		}
-		epoch = resp.Epoch
-		return nil
+	_, err = c.withRetry(ctx, true, func(conn *wireConn) error {
+		e, err := c.publishBinary(ctx, conn, payload)
+		epoch = e
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -556,69 +475,104 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 	return epoch, nil
 }
 
-// publishCompressMin is the raw batch size at which a binary publish
-// frame is flate-compressed (mirrors the server's streamed-batch
-// default; small publishes are cheaper to send raw).
+// publishCompressMin is the raw batch size at which a publish frame is
+// flate-compressed (mirrors the server's streamed-batch default; small
+// publishes are cheaper to send raw).
 const publishCompressMin = 4 << 10
 
-// typedRowsOf converts caller values into typed tuple rows; !ok when a
-// value has no direct tuple type (the JSON path handles those).
-func typedRowsOf(rows [][]any) ([]tuple.Row, bool) {
+// typedRowsOf converts caller values into typed tuple rows with one type
+// per column, as the batch codec requires. A column mixing int/int64 with
+// float64 values is sent as Int64 when every float in it is integral and
+// as Float64 otherwise, so that after the server's coercion onto the
+// column type the stored values are the same either way.
+func typedRowsOf(rows [][]any) ([]tuple.Row, error) {
 	out := make([]tuple.Row, len(rows))
 	for i, r := range rows {
-		row := make(tuple.Row, len(r))
-		for j, v := range r {
-			switch x := v.(type) {
-			case int:
-				row[j] = tuple.I(int64(x))
-			case int64:
-				row[j] = tuple.I(x)
+		if len(r) != len(rows[0]) {
+			return nil, badPublish("row %d has %d values, row 0 has %d", i, len(r), len(rows[0]))
+		}
+		out[i] = make(tuple.Row, len(r))
+	}
+	for j := 0; len(rows) > 0 && j < len(rows[0]); j++ {
+		var ints, floats, strs, fractional bool
+		for i, r := range rows {
+			switch x := r[j].(type) {
+			case int, int64:
+				ints = true
 			case float64:
-				row[j] = tuple.F(x)
+				floats = true
+				fractional = fractional || x != float64(int64(x))
 			case string:
-				row[j] = tuple.S(x)
+				strs = true
 			default:
-				return nil, false
+				return nil, badPublish("row %d column %d: unsupported value type %T (want int, int64, float64, or string)", i, j, x)
 			}
 		}
-		out[i] = row
+		if strs && (ints || floats) {
+			return nil, badPublish("column %d mixes strings and numbers", j)
+		}
+		asFloat := floats && (!ints || fractional)
+		for i, r := range rows {
+			var v tuple.Value
+			switch x := r[j].(type) {
+			case int:
+				v = numValue(float64(x), int64(x), asFloat)
+			case int64:
+				v = numValue(float64(x), x, asFloat)
+			case float64:
+				v = numValue(x, int64(x), asFloat)
+			case string:
+				v = tuple.S(x)
+			}
+			out[i][j] = v
+		}
 	}
-	return out, true
+	return out, nil
 }
 
-// publishBinary sends one publish as a FramePublish batch frame on conn
-// and reads its JSON response. fellBack reports that nothing was sent
-// (frame could not be built) and the caller should retry over JSON on
-// the same connection.
-func (c *Client) publishBinary(ctx context.Context, conn *wireConn, relation string, pubID uint64, rows []tuple.Row) (epoch uint64, err error, fellBack bool) {
-	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, pubID, relation, rows, publishCompressMin)
-	if err != nil {
-		return 0, nil, true // heterogeneous batch: JSON carries it
+// numValue picks the float or the integer form of one numeric value.
+func numValue(f float64, i int64, asFloat bool) tuple.Value {
+	if asFloat {
+		return tuple.F(f)
 	}
+	return tuple.I(i)
+}
+
+// badPublish reports publish rows rejected before sending.
+func badPublish(format string, args ...any) error {
+	return fmt.Errorf("orchestra client: publish: %w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+}
+
+// publishBinary sends one encoded publish payload as a FramePublish frame
+// on conn and reads its JSON response.
+func (c *Client) publishBinary(ctx context.Context, conn *wireConn, payload []byte) (uint64, error) {
 	frame, err := server.AppendBinaryFrame(make([]byte, 0, len(payload)+8), server.FramePublish, payload, conn.maxFrame)
 	if err != nil {
-		// Nothing was sent; let the JSON path carry the request — and,
-		// for a frame over the negotiated size limit, produce the typed
-		// error the caller expects.
-		return 0, nil, true
+		c.release(conn) // nothing was sent; the connection is clean
+		var fse *server.FrameSizeError
+		if errors.As(err, &fse) {
+			return 0, fmt.Errorf("%w: publish frame of %d bytes exceeds negotiated limit %d",
+				ErrFrameTooLarge, fse.Size, fse.Max)
+		}
+		return 0, err
 	}
 	cc := newConnCall(ctx, conn)
 	if _, err := conn.Write(frame); err != nil {
 		err = cc.wrapErr(fmt.Errorf("orchestra client: write: %w", err))
 		cc.finish(c, false)
-		return 0, err, false
+		return 0, err
 	}
 	resp, _, err := readResponse(conn)
 	if err != nil {
 		err = cc.wrapErr(fmt.Errorf("orchestra client: read: %w", err))
 		cc.finish(c, false)
-		return 0, err, false
+		return 0, err
 	}
 	cc.finish(c, true)
 	if resp.Error != nil {
-		return 0, &Error{Code: resp.Error.Code, Message: resp.Error.Message}, false
+		return 0, &Error{Code: resp.Error.Code, Message: resp.Error.Message}
 	}
-	return resp.Epoch, nil, false
+	return resp.Epoch, nil
 }
 
 // QueryOptions tunes one query; the zero value queries the current
@@ -648,10 +602,8 @@ type Result struct {
 	Restarts int
 	Plan     string
 	// WireBytes is the total size of the response frames that carried
-	// this result (codec comparison/accounting).
+	// this result.
 	WireBytes int64
-	// Streamed reports that the result arrived as binary batch frames.
-	Streamed bool
 	// Attempts counts the call attempts this result took (1 = no
 	// retries); Failovers counts attempts that switched endpoint; and
 	// Endpoint is the address that served the final attempt.
@@ -673,9 +625,8 @@ func (c *Client) Query(ctx context.Context, sql string) (*Result, error) {
 	return c.QueryOpts(ctx, sql, QueryOptions{})
 }
 
-// QueryOpts runs a SQL query with explicit options. On connections that
-// negotiated binary streaming the result arrives as batch frames and is
-// assembled incrementally; otherwise as one JSON response.
+// QueryOpts runs a SQL query with explicit options. The result arrives as
+// batch frames and is assembled incrementally.
 //
 // Queries are idempotent, so under Options.Retry a buffered query is
 // fully fault-tolerant: a failure at any point — dial, mid-stream, even
@@ -686,7 +637,7 @@ func (c *Client) QueryOpts(ctx context.Context, sql string, opts QueryOptions) (
 		return nil, fmt.Errorf("orchestra client: %w", err)
 	}
 	var res *Result
-	meta, err := c.withRetry(ctx, true, false, func(conn *wireConn) error {
+	meta, err := c.withRetry(ctx, true, func(conn *wireConn) error {
 		st, err := c.startStream(ctx, conn, sql, opts)
 		if err != nil {
 			return err
@@ -724,14 +675,13 @@ func drainStream(st *Stream) (*Result, error) {
 	res.Restarts = st.Restarts()
 	res.Plan = st.Plan()
 	res.WireBytes = st.WireBytes()
-	res.Streamed = st.Streamed()
 	res.TraceID = st.TraceID()
 	res.Trace = st.Trace()
 	return res, nil
 }
 
 // queryRequest builds the wire request for one query.
-func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream bool) *server.Request {
+func queryRequest(ctx context.Context, sql string, opts QueryOptions) *server.Request {
 	req := &server.Request{
 		Op: server.OpQuery,
 		Query: &server.QueryRequest{
@@ -740,7 +690,6 @@ func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream boo
 			Recovery:   opts.Recovery,
 			Provenance: opts.Provenance,
 			Explain:    opts.Explain,
-			Stream:     stream,
 			Trace:      opts.Trace,
 		},
 	}
@@ -755,9 +704,6 @@ func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream boo
 // Stream is an incrementally decoded query result: a sequence of row
 // batches followed by terminal metadata. Iterate with Next/Batch, check
 // Err, then read the metadata accessors; Close must always be called.
-// On JSON-fallback connections the whole result arrives buffered and is
-// replayed as a single batch, so code written against Stream works
-// unchanged against old servers.
 type Stream struct {
 	c    *Client
 	conn *wireConn
@@ -771,12 +717,7 @@ type Stream struct {
 	done      bool
 	end       *server.StreamEnd
 	wireBytes int64
-	streamed  bool
 	endpoint  string
-
-	// fallback holds a buffered JSON result replayed as one batch.
-	fallback *Result
-	played   bool
 }
 
 // QueryStream starts a streamed query and returns its result iterator.
@@ -805,7 +746,7 @@ func (c *Client) QueryStream(ctx context.Context, sql string, opts ...QueryOptio
 		return nil, fmt.Errorf("orchestra client: %w", err)
 	}
 	var st *Stream
-	_, err := c.withRetry(ctx, true, false, func(conn *wireConn) error {
+	_, err := c.withRetry(ctx, true, func(conn *wireConn) error {
 		s, err := c.startStream(ctx, conn, sql, o)
 		if err != nil {
 			return err
@@ -820,15 +761,11 @@ func (c *Client) QueryStream(ctx context.Context, sql string, opts ...QueryOptio
 }
 
 // startStream performs one attempt at starting a streamed query on an
-// already-acquired connection, up to the schema frame (or the buffered
-// JSON exchange on connections without binary streaming).
+// already-acquired connection, up to the schema frame.
 func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o QueryOptions) (*Stream, error) {
-	if !conn.binary {
-		return c.bufferedStream(ctx, conn, sql, o)
-	}
-	st := &Stream{c: c, conn: conn, id: 1, streamed: true, endpoint: conn.ep.addr}
+	st := &Stream{c: c, conn: conn, id: 1, endpoint: conn.ep.addr}
 	st.cc = newConnCall(ctx, conn)
-	req := queryRequest(ctx, sql, o, true)
+	req := queryRequest(ctx, sql, o)
 	req.ID = st.id
 	if err := writeRequest(conn, req); err != nil {
 		keep := errors.Is(err, ErrFrameTooLarge) // nothing was sent; conn is clean
@@ -837,12 +774,11 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 		return nil, err
 	}
 	// The first frame is Schema — or End when the query failed outright.
-	kind, payload, isBinary, err := st.readFrame()
+	kind, payload, err := st.readFrame()
 	if err != nil {
 		st.cc.finish(c, false)
 		return nil, err
 	}
-	st.wireBytes += frameWireSize(payload, isBinary)
 	switch kind {
 	case server.FrameSchema:
 		_, cols, err := server.DecodeSchemaPayload(payload)
@@ -869,71 +805,20 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 	}
 }
 
-// bufferedStream adapts the JSON single-frame path to the Stream API.
-func (c *Client) bufferedStream(ctx context.Context, conn *wireConn, sql string, opts QueryOptions) (*Stream, error) {
-	resp, n, err := c.roundTripOn(ctx, conn, queryRequest(ctx, sql, opts, false))
+// readFrame reads one frame off the stream's connection and accounts its
+// wire size.
+func (s *Stream) readFrame() (server.FrameKind, []byte, error) {
+	kind, payload, n, err := readFrame(s.conn)
 	if err != nil {
-		return nil, err
+		return 0, nil, s.cc.wrapErr(err)
 	}
-	q := resp.Query
-	if q == nil {
-		return nil, fmt.Errorf("orchestra client: malformed response (no query payload)")
-	}
-	rows := make([][]any, len(q.Rows.Any))
-	for i, wr := range q.Rows.Any {
-		row := make([]any, len(wr))
-		for j, v := range wr {
-			row[j], err = server.DecodeValue(v)
-			if err != nil {
-				return nil, fmt.Errorf("orchestra client: row %d col %d: %w", i, j, err)
-			}
-		}
-		rows[i] = row
-	}
-	return &Stream{
-		done: true,
-		fallback: &Result{
-			Columns:   q.Columns,
-			Rows:      rows,
-			Epoch:     q.Epoch,
-			Cached:    q.Cached,
-			Phases:    q.Phases,
-			Restarts:  q.Restarts,
-			Plan:      q.Plan,
-			WireBytes: n,
-			TraceID:   q.TraceID,
-			Trace:     q.Trace,
-		},
-		wireBytes: n,
-	}, nil
-}
-
-// readFrame reads one raw frame off the stream's connection, mapping
-// frame-size violations onto ErrFrameTooLarge.
-func (s *Stream) readFrame() (server.FrameKind, []byte, bool, error) {
-	kind, payload, isBinary, err := server.ReadRawFrame(s.conn.br, s.conn.maxFrame)
-	if err != nil {
-		var fse *server.FrameSizeError
-		if errors.As(err, &fse) {
-			err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d",
-				ErrFrameTooLarge, fse.Size, fse.Max)
-		}
-		return kind, payload, isBinary, s.cc.wrapErr(err)
-	}
-	return kind, payload, isBinary, nil
+	s.wireBytes += n
+	return kind, payload, nil
 }
 
 // Next advances to the next batch, returning false at the end of the
 // stream or on error (check Err).
 func (s *Stream) Next() bool {
-	if s.fallback != nil {
-		if s.played || len(s.fallback.Rows) == 0 {
-			return false
-		}
-		s.batch = s.fallback.Rows
-		s.played = true
-		return true
-	}
 	if s.done || s.err != nil {
 		return false
 	}
@@ -952,12 +837,11 @@ func (s *Stream) Next() bool {
 		}
 	}
 	for {
-		kind, payload, isBinary, err := s.readFrame()
+		kind, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(err)
 			return false
 		}
-		s.wireBytes += frameWireSize(payload, isBinary)
 		switch kind {
 		case server.FrameBatch:
 			_, rows, err := server.DecodeBatchPayloadAny(payload)
@@ -1009,12 +893,7 @@ func (s *Stream) finishConn(keep bool) {
 func (s *Stream) Batch() [][]any { return s.batch }
 
 // Columns returns the result column names (available immediately).
-func (s *Stream) Columns() []string {
-	if s.fallback != nil {
-		return s.fallback.Columns
-	}
-	return s.cols
-}
+func (s *Stream) Columns() []string { return s.cols }
 
 // Err returns the stream's terminal error, if any.
 func (s *Stream) Err() error { return s.err }
@@ -1024,9 +903,9 @@ func (s *Stream) Err() error { return s.err }
 // drains frames until the server's terminal End arrives. The server
 // stops emitting batches and returns the query's admission slot. After a
 // clean cancel, Err reports nil and the connection returns to the pool.
-// Cancelling a finished or fallback stream is a no-op.
+// Cancelling a finished stream is a no-op.
 func (s *Stream) Cancel() error {
-	if s.fallback != nil || s.done {
+	if s.done {
 		return nil
 	}
 	if s.cc.ctx.Err() != nil {
@@ -1055,12 +934,11 @@ func (s *Stream) Cancel() error {
 	}
 	s.conn.SetDeadline(drainBy)
 	for {
-		kind, payload, isBinary, err := s.readFrame()
+		kind, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(err)
 			return s.err
 		}
-		s.wireBytes += frameWireSize(payload, isBinary)
 		switch kind {
 		case server.FrameBatch:
 			// Discard: in-flight batches the server sent before seeing the
@@ -1087,31 +965,19 @@ func (s *Stream) Cancel() error {
 	}
 }
 
-// Close releases the stream's connection. A binary stream abandoned
-// before its End frame is cancelled first (see Cancel), so the
-// connection usually survives into the pool; if the cancel itself fails
-// the connection is dropped. Fully consumed streams return their
-// connection directly. Close is idempotent.
+// Close releases the stream's connection. A stream abandoned before its
+// End frame is cancelled first (see Cancel), so the connection usually
+// survives into the pool; if the cancel itself fails the connection is
+// dropped. Fully consumed streams have already returned their
+// connection. Close is idempotent.
 func (s *Stream) Close() error {
-	if !s.done && s.fallback == nil && s.cc != nil {
-		return s.Cancel()
-	}
 	if !s.done {
-		s.done = true
-		if s.err == nil {
-			s.err = errors.New("orchestra client: stream closed before end")
-		}
-		s.finishConn(false)
+		return s.Cancel()
 	}
 	return nil
 }
 
-// Streamed reports whether the result arrived as binary batch frames
-// (false: buffered JSON fallback).
-func (s *Stream) Streamed() bool { return s.streamed }
-
-// Endpoint returns the address of the endpoint serving this stream (""
-// for buffered fallback streams).
+// Endpoint returns the address of the endpoint serving this stream.
 func (s *Stream) Endpoint() string { return s.endpoint }
 
 // WireBytes returns the bytes of response frames consumed so far.
@@ -1121,9 +987,6 @@ func (s *Stream) WireBytes() int64 { return s.wireBytes }
 
 // Epoch returns the snapshot epoch the query executed against.
 func (s *Stream) Epoch() uint64 {
-	if s.fallback != nil {
-		return s.fallback.Epoch
-	}
 	if s.end != nil {
 		return s.end.Epoch
 	}
@@ -1132,17 +995,11 @@ func (s *Stream) Epoch() uint64 {
 
 // Cached reports a materialized-view cache hit.
 func (s *Stream) Cached() bool {
-	if s.fallback != nil {
-		return s.fallback.Cached
-	}
 	return s.end != nil && s.end.Cached
 }
 
 // Phases returns 1 + incremental recovery invocations.
 func (s *Stream) Phases() uint32 {
-	if s.fallback != nil {
-		return s.fallback.Phases
-	}
 	if s.end != nil {
 		return s.end.Phases
 	}
@@ -1151,9 +1008,6 @@ func (s *Stream) Phases() uint32 {
 
 // Restarts counts full restarts performed.
 func (s *Stream) Restarts() int {
-	if s.fallback != nil {
-		return s.fallback.Restarts
-	}
 	if s.end != nil {
 		return s.end.Restarts
 	}
@@ -1162,9 +1016,6 @@ func (s *Stream) Restarts() int {
 
 // Plan returns the optimizer explanation (when Explain was requested).
 func (s *Stream) Plan() string {
-	if s.fallback != nil {
-		return s.fallback.Plan
-	}
 	if s.end != nil {
 		return s.end.Plan
 	}
@@ -1173,9 +1024,6 @@ func (s *Stream) Plan() string {
 
 // TraceID identifies the traced execution (when Trace was requested).
 func (s *Stream) TraceID() string {
-	if s.fallback != nil {
-		return s.fallback.TraceID
-	}
 	if s.end != nil {
 		return s.end.TraceID
 	}
@@ -1184,9 +1032,6 @@ func (s *Stream) TraceID() string {
 
 // Trace returns the query's span tree (when Trace was requested).
 func (s *Stream) Trace() *TraceSpan {
-	if s.fallback != nil {
-		return s.fallback.Trace
-	}
 	if s.end != nil {
 		return s.end.Trace
 	}
@@ -1194,8 +1039,7 @@ func (s *Stream) Trace() *TraceSpan {
 }
 
 // TotalRows returns the stream's total row count as reported by the
-// server's End frame (0 for buffered fallback streams, where Batch
-// carries the whole answer).
+// server's End frame.
 func (s *Stream) TotalRows() int64 {
 	if s.end != nil {
 		return s.end.Rows

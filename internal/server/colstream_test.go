@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -10,7 +9,7 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// colsStreamStub is a StreamingBackend that emits through the columnar
+// colsStreamStub is a backend that emits through the columnar
 // BatchStream hand-off.
 type colsStreamStub struct {
 	stubBackend
@@ -101,18 +100,12 @@ type capturedFrame struct {
 func captureStream(t *testing.T, backend Backend, reqID uint64) []capturedFrame {
 	t.Helper()
 	s := startTestServer(t, backend, Config{MaxFrame: 64 << 10, StreamWindow: 4096})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, &HelloRequest{Version: ProtocolVersion, Features: []string{FeatureBinaryStream}, Window: 4096})
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, s)
+	conn.hello(t, &HelloRequest{Version: ProtocolVersion, Window: 4096})
+	conn.send(t, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
 	var frames []capturedFrame
 	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatalf("read frame %d: %v", len(frames), err)
-		}
+		kind, payload := conn.frame(t)
 		frames = append(frames, capturedFrame{kind, append([]byte(nil), payload...)})
 		if kind == FrameEnd {
 			return frames
@@ -135,7 +128,7 @@ func TestStreamFramesRowVsBatchIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const reqID = 4242
-			rowStub := &streamStub{
+			rowStub := &stubBackend{
 				cols:    []string{"a", "b", "c"},
 				batches: [][]tuple.Row{tc.rows[:len(tc.rows)/3], tc.rows[len(tc.rows)/3:]},
 				tail:    QueryTail{Epoch: 9},
@@ -170,60 +163,40 @@ func TestStreamFramesRowVsBatchIdentical(t *testing.T) {
 type publishRecorder struct {
 	stubBackend
 	relation string
+	pubID    uint64
 	typed    []tuple.Row
-	anyRows  [][]any
 }
 
 func (b *publishRecorder) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
-	b.relation = req.Relation
-	b.typed = req.TypedRows
-	b.anyRows = req.Rows
+	b.relation, b.pubID, b.typed = req.Relation, req.PublishID, req.TypedRows
 	return 7, nil
 }
 
 // TestBinaryPublishFrame sends a FramePublish and checks the backend
-// receives typed rows, no JSON coercion involved.
+// receives its relation, publish ID, and typed rows.
 func TestBinaryPublishFrame(t *testing.T) {
 	rec := &publishRecorder{}
 	s := startTestServer(t, rec, Config{})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{
-		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream, FeatureBinaryPublish},
-	})
-	found := false
-	for _, f := range h.Features {
-		found = found || f == FeatureBinaryPublish
-	}
-	if !found {
-		t.Fatalf("server did not negotiate %s: %v", FeatureBinaryPublish, h.Features)
-	}
 
 	rows := []tuple.Row{
 		{tuple.S("bolt"), tuple.I(90)},
 		{tuple.S("nut"), tuple.I(120)},
 	}
-	payload, err := AppendPublishPayload(nil, 31, 0, "inv", rows, -1)
+	payload, err := AppendPublishPayload(nil, 31, 1234, "inv", rows, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := AppendBinaryFrame(nil, FramePublish, payload, MaxFrame)
+	conn.sendFrame(t, FramePublish, payload)
+	resp, err := conn.readResponse()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 31 || resp.Error != nil || resp.Epoch != 7 {
 		t.Fatalf("publish response: %+v", resp)
 	}
-	if rec.relation != "inv" || rec.anyRows != nil {
-		t.Fatalf("backend saw relation=%q anyRows=%v", rec.relation, rec.anyRows)
+	if rec.relation != "inv" || rec.pubID != 1234 {
+		t.Fatalf("backend saw relation=%q publish id %d", rec.relation, rec.pubID)
 	}
 	if len(rec.typed) != 2 || rec.typed[0][0].Str != "bolt" || rec.typed[1][1].I64 != 120 {
 		t.Fatalf("typed rows: %v", rec.typed)
@@ -231,26 +204,16 @@ func TestBinaryPublishFrame(t *testing.T) {
 
 	// A malformed publish frame with a readable ID answers bad_request on
 	// that ID and keeps the connection usable.
-	bad := AppendCancelPayload(nil, 32) // ID but no relation/batch
-	frame, err = AppendBinaryFrame(nil, FramePublish, bad, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if err := readAnyResponse(br, &resp); err != nil {
+	conn.sendFrame(t, FramePublish, AppendCancelPayload(nil, 32)) // ID but no relation/batch
+	if resp, err = conn.readResponse(); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 32 || resp.Error == nil || resp.Error.Code != CodeBadRequest {
 		t.Fatalf("malformed publish response: %+v", resp)
 	}
 	// Connection still fine: ping round-trips.
-	if err := WriteFrame(conn, &Request{ID: 33, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	resp = Response{}
-	if err := readAnyResponse(br, &resp); err != nil {
+	conn.send(t, &Request{ID: 33, Op: OpPing})
+	if resp, err = conn.readResponse(); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 33 || resp.Error != nil {

@@ -5,44 +5,17 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"orchestra/internal/tuple"
 )
-
-// respReader collects pipelined responses, which may arrive in any
-// order, so tests can await a specific request ID without dropping the
-// ones read past along the way.
-type respReader struct {
-	conn net.Conn
-	got  map[uint64]*Response
-}
-
-func (r *respReader) awaitResponse(t *testing.T, id uint64) *Response {
-	t.Helper()
-	if r.got == nil {
-		r.got = make(map[uint64]*Response)
-	}
-	for {
-		if resp, ok := r.got[id]; ok {
-			delete(r.got, id)
-			return resp
-		}
-		var resp Response
-		if err := ReadFrame(r.conn, &resp); err != nil {
-			t.Fatalf("reading response %d: %v", id, err)
-		}
-		r.got[resp.ID] = &resp
-	}
-}
 
 func TestHealthOp(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{
 		Peers: func() []string { return []string{"a:1", "b:2"} },
 	})
 	conn := dialTest(t, s)
-	rd := &respReader{conn: conn}
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpHealth}); err != nil {
-		t.Fatal(err)
-	}
-	resp := rd.awaitResponse(t, 1)
+	conn.send(t, &Request{ID: 1, Op: OpHealth})
+	resp := conn.await(t, 1).resp
 	if resp.Error != nil {
 		t.Fatalf("health: %v", resp.Error)
 	}
@@ -67,12 +40,9 @@ func TestHealthOp(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	s := startTestServer(t, &stubBackend{queryDelay: 300 * time.Millisecond}, Config{})
 	conn := dialTest(t, s)
-	rd := &respReader{conn: conn}
 
 	// In-flight query that outlives the start of the drain.
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "slow"}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "slow"}})
 	// Give the server a moment to start the handler before draining.
 	time.Sleep(50 * time.Millisecond)
 
@@ -94,27 +64,31 @@ func TestShutdownDrains(t *testing.T) {
 
 	// New work on the existing session is refused with the retryable
 	// proof-of-non-execution code.
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpQuery, Query: &QueryRequest{SQL: "late"}}); err != nil {
+	conn.send(t, &Request{ID: 2, Op: OpQuery, Query: &QueryRequest{SQL: "late"}})
+	// So is a publish, refused before its rows are looked at.
+	payload, err := AppendPublishPayload(nil, 4, 0, "r", []tuple.Row{{tuple.I(1)}}, -1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	conn.sendFrame(t, FramePublish, payload)
 	// Health still answers, reporting the drain.
-	if err := WriteFrame(conn, &Request{ID: 3, Op: OpHealth}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: 3, Op: OpHealth})
 
-	refused := rd.awaitResponse(t, 2)
-	if refused.Error == nil || refused.Error.Code != CodeUnavailable {
-		t.Fatalf("late query: got %+v, want %s", refused.Error, CodeUnavailable)
+	refused := conn.await(t, 2)
+	if refused.errCode() != CodeUnavailable || len(refused.rows) != 0 {
+		t.Fatalf("late query: got %q with %d rows, want %s", refused.errCode(), len(refused.rows), CodeUnavailable)
 	}
-	health := rd.awaitResponse(t, 3)
+	if code := conn.await(t, 4).errCode(); code != CodeUnavailable {
+		t.Fatalf("late publish: got %q, want %s", code, CodeUnavailable)
+	}
+	health := conn.await(t, 3).resp
 	if health.Error != nil || health.Health == nil || health.Health.Status != "draining" {
 		t.Fatalf("health during drain: %+v %+v", health.Error, health.Health)
 	}
 
 	// The in-flight query still completes successfully.
-	slow := rd.awaitResponse(t, 1)
-	if slow.Error != nil {
-		t.Fatalf("in-flight query failed during drain: %v", slow.Error)
+	if slow := conn.await(t, 1); slow.errCode() != "" || len(slow.rows) != 1 {
+		t.Fatalf("in-flight query failed during drain: %q, %d rows", slow.errCode(), len(slow.rows))
 	}
 
 	if err := <-done; err != nil {
@@ -127,9 +101,7 @@ func TestShutdownDrains(t *testing.T) {
 func TestShutdownTimeout(t *testing.T) {
 	s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second}, Config{})
 	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "stuck"}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "stuck"}})
 	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -36,9 +36,9 @@ type Config struct {
 	// goroutines and payloads.
 	MaxPipelinedRequests int
 	// MaxFrame bounds a single wire frame (default MaxFrame const). A
-	// hello handshake may negotiate it lower per connection. Single-frame
-	// JSON results larger than this fail with frame_too_large; streamed
-	// binary results are bounded per batch frame, not in total.
+	// hello handshake may negotiate it lower per connection. Requests and
+	// control responses larger than this fail with frame_too_large;
+	// query results are bounded per batch frame, not in total.
 	MaxFrame int64
 	// StreamWindow is the per-stream credit window offered to clients:
 	// the number of un-acknowledged batch frames in flight per streamed
@@ -94,8 +94,8 @@ func (c Config) withDefaults() Config {
 		c.MaxFrame = MaxFrame
 	}
 	if c.MaxFrame > MaxFrameLimit {
-		// The length header's high bit is the binary-frame tag: frames at
-		// or past 2 GiB would corrupt the framing entirely.
+		// The length header's high bit is the frame tag: frames at or
+		// past 2 GiB would corrupt the framing entirely.
 		c.MaxFrame = MaxFrameLimit
 	}
 	if c.StreamWindow <= 0 {
@@ -164,8 +164,8 @@ type opMetrics struct {
 }
 
 // observeOp records one request's service time and outcome — the single
-// accounting point shared by the JSON dispatch path, the binary stream
-// path, and the inline hello handler.
+// accounting point shared by the control-message dispatch path, the
+// stream path, and the inline hello handler.
 func (s *Server) observeOp(op string, d time.Duration, failed bool) {
 	m := s.ops[op]
 	if m == nil {
@@ -438,8 +438,9 @@ type session struct {
 
 	wmu sync.Mutex
 
-	// lim holds the negotiated limits; swapped atomically by hello.
-	lim atomic.Pointer[sessionLimits]
+	// lim holds the negotiated limits, settled by hello before any
+	// request is dispatched and never changed afterwards.
+	lim sessionLimits
 
 	smu     sync.Mutex
 	streams map[uint64]*streamWriter // in-flight streams by request ID
@@ -447,12 +448,9 @@ type session struct {
 
 // sessionLimits are the per-connection negotiated protocol settings.
 type sessionLimits struct {
-	binary   bool // FeatureBinaryStream negotiated
 	maxFrame int64
 	window   int
 }
-
-func (sess *session) limits() *sessionLimits { return sess.lim.Load() }
 
 // write sends one pre-encoded frame under the write lock. On failure the
 // connection is closed to wake the read loop.
@@ -469,33 +467,23 @@ func (sess *session) write(frame []byte) error {
 	return err
 }
 
-// writeResponse encodes and sends one JSON response, using the framing
-// the connection negotiated and a pooled buffer.
+// writeResponse encodes and sends one JSON response frame from a pooled
+// buffer.
 func (sess *session) writeResponse(resp *Response) error {
-	lim := sess.limits()
+	maxFrame := sess.lim.maxFrame
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	var frame []byte
-	var err error
-	if lim.binary {
-		frame, err = AppendTaggedJSONFrame((*buf)[:0], resp, lim.maxFrame)
-	} else {
-		frame, err = AppendFrame((*buf)[:0], resp, lim.maxFrame)
-	}
+	frame, err := AppendJSONFrame((*buf)[:0], resp, maxFrame)
 	if err != nil {
-		// A result the codec cannot carry (NaN/Inf floats, or one larger
-		// than the frame cap) fails only this request, not the session.
+		// A response larger than the frame cap fails only this request,
+		// not the session.
 		code := CodeInternal
 		var fse *FrameSizeError
 		if errors.As(err, &fse) {
 			code = CodeFrameTooLarge
 		}
 		fallback := &Response{ID: resp.ID, Error: Errorf(code, "encode response: %v", err)}
-		if lim.binary {
-			frame, err = AppendTaggedJSONFrame((*buf)[:0], fallback, lim.maxFrame)
-		} else {
-			frame, err = AppendFrame((*buf)[:0], fallback, lim.maxFrame)
-		}
+		frame, err = AppendJSONFrame((*buf)[:0], fallback, maxFrame)
 		if err != nil {
 			sess.srv.cfg.Logf("server: %s: encode: %v", sess.conn.RemoteAddr(), err)
 			sess.conn.Close()
@@ -520,9 +508,14 @@ func (sess *session) registerStream(id uint64, w *streamWriter) bool {
 	return true
 }
 
-func (sess *session) dropStream(id uint64) {
+// dropStream releases id if w still holds it. A stream's cleanup may run
+// after the client reused the id for its next stream; that newer
+// registration must keep its entry, or its credits would be dropped.
+func (sess *session) dropStream(id uint64, w *streamWriter) {
 	sess.smu.Lock()
-	delete(sess.streams, id)
+	if sess.streams[id] == w {
+		delete(sess.streams, id)
+	}
 	sess.smu.Unlock()
 }
 
@@ -554,9 +547,9 @@ func (s *Server) session(conn net.Conn) {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 32<<10),
 		streams: make(map[uint64]*streamWriter),
+		lim:     sessionLimits{maxFrame: s.cfg.MaxFrame, window: s.cfg.StreamWindow},
 	}
 	sess.ctx, sess.cancel = context.WithCancel(context.Background())
-	sess.lim.Store(&sessionLimits{maxFrame: s.cfg.MaxFrame, window: s.cfg.StreamWindow})
 	defer func() {
 		sess.cancel()
 		conn.Close()
@@ -592,7 +585,7 @@ func (s *Server) session(conn net.Conn) {
 				defer handlers.Done()
 				defer s.reqsInFlight.Add(-1)
 				defer func() { <-pipeline }()
-				if req.Op == OpQuery && req.Query != nil && req.Query.Stream && sess.limits().binary {
+				if req.Op == OpQuery {
 					s.dispatchStream(sess, &req)
 					return
 				}
@@ -609,17 +602,12 @@ func (s *Server) session(conn net.Conn) {
 			s.reqsInFlight.Add(-1)
 		}
 	}()
+	if !s.handleHello(sess) {
+		return
+	}
 	for {
-		kind, payload, _, err := ReadRawFrame(sess.br, sess.limits().maxFrame)
+		kind, payload, err := sess.readFrame()
 		if err != nil {
-			var fse *FrameSizeError
-			if errors.As(err, &fse) {
-				// Tell the peer why before closing: framing cannot be
-				// re-synchronized after an unread oversized body.
-				sess.writeResponse(&Response{Error: Errorf(CodeFrameTooLarge, "%v", err)})
-			} else if !errors.Is(err, net.ErrClosed) && !isEOF(err) {
-				s.cfg.Logf("server: %s: read: %v", conn.RemoteAddr(), err)
-			}
 			return
 		}
 		switch kind {
@@ -670,27 +658,56 @@ func (s *Server) session(conn net.Conn) {
 			s.cfg.Logf("server: %s: read: %v", conn.RemoteAddr(), err)
 			return
 		}
-		if req.Op == OpHello {
-			// Handled inline so the framing switch is ordered with the
-			// response: the client sends no tagged frame until it reads it.
-			s.handleHello(sess, &req)
-			continue
-		}
 		s.reqsInFlight.Add(1)
 		reqCh <- req // backpressure: stop reading when the pump is saturated
 	}
 }
 
-// handleHello negotiates protocol features: the intersection of the two
-// peers' feature lists and the min of their frame/window limits.
-func (s *Server) handleHello(sess *session, req *Request) {
+// readFrame reads the session's next frame. A frame that ends the
+// connection — oversized, untagged, torn — is explained to the peer with
+// an error response where that is still possible, or logged.
+func (sess *session) readFrame() (FrameKind, []byte, error) {
+	kind, payload, err := ReadRawFrame(sess.br, sess.lim.maxFrame)
+	if err != nil {
+		var fse *FrameSizeError
+		switch {
+		case errors.As(err, &fse):
+			// Tell the peer why before closing: framing cannot be
+			// re-synchronized after an unread oversized body.
+			sess.writeResponse(&Response{Error: Errorf(CodeFrameTooLarge, "%v", err)})
+		case errors.Is(err, errUntaggedFrame):
+			sess.writeResponse(&Response{Error: Errorf(CodeBadRequest,
+				"untagged frame: this server speaks protocol version %d only", ProtocolVersion)})
+		case !errors.Is(err, net.ErrClosed) && !isEOF(err):
+			sess.srv.cfg.Logf("server: %s: read: %v", sess.conn.RemoteAddr(), err)
+		}
+	}
+	return kind, payload, err
+}
+
+// handleHello runs the mandatory opening handshake: the first frame must
+// be a hello request at ProtocolVersion. It settles the session's limits
+// at the min of the two peers' frame/window offers and reports whether
+// the session may proceed; on false the peer has been told why.
+func (s *Server) handleHello(sess *session) bool {
+	kind, payload, err := sess.readFrame()
+	if err != nil {
+		return false
+	}
 	start := time.Now()
-	resp := &Response{ID: req.ID}
-	if req.Hello == nil {
-		resp.Error = Errorf(CodeBadRequest, "hello payload missing")
-	} else {
-		cur := sess.limits()
-		lim := &sessionLimits{maxFrame: cur.maxFrame, window: cur.window}
+	var req Request
+	var reject *WireError
+	switch {
+	case kind != FrameJSON:
+		reject = Errorf(CodeBadRequest, "first frame is %v, want a hello request", kind)
+	case UnmarshalJSONFrame(payload, &req) != nil || req.Op != OpHello || req.Hello == nil:
+		reject = Errorf(CodeBadRequest, "first request must be hello")
+	case req.Hello.Version != ProtocolVersion:
+		reject = Errorf(CodeBadRequest, "protocol version %d unsupported (server speaks %d)", req.Hello.Version, ProtocolVersion)
+	}
+	resp := &Response{ID: req.ID, Error: reject}
+	if reject == nil {
+		lim := &sess.lim
 		if mf := req.Hello.MaxFrame; mf > 0 && mf < lim.maxFrame {
 			lim.maxFrame = mf
 		}
@@ -700,71 +717,54 @@ func (s *Server) handleHello(sess *session, req *Request) {
 		if w := req.Hello.Window; w > 0 && w < lim.window {
 			lim.window = w
 		}
-		var features []string
-		for _, f := range req.Hello.Features {
-			switch f {
-			case FeatureBinaryStream:
-				lim.binary = true
-				features = append(features, FeatureBinaryStream)
-			case FeatureBinaryPublish:
-				features = append(features, FeatureBinaryPublish)
-			case FeaturePublishID:
-				features = append(features, FeaturePublishID)
-			}
-		}
-		resp.Hello = &HelloResponse{
-			Version:  ProtocolVersion,
-			Features: features,
-			MaxFrame: lim.maxFrame,
-			Window:   lim.window,
-		}
-		sess.lim.Store(lim)
+		resp.Hello = &HelloResponse{Version: ProtocolVersion, MaxFrame: lim.maxFrame, Window: lim.window}
 	}
-	err := sess.writeResponse(resp)
-	s.observeOp(OpHello, time.Since(start), resp.Error != nil || err != nil)
+	s.observeOp(OpHello, time.Since(start), reject != nil)
+	return sess.writeResponse(resp) == nil && reject == nil
 }
 
-// dispatchStream answers one query request with a binary result stream:
+// dispatchStream answers one query request with a result stream:
 // Schema, Batch*, End — with errors carried in the End frame.
 func (s *Server) dispatchStream(sess *session, req *Request) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(sess.ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	if ms := req.Query.TimeoutMs; ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < s.cfg.RequestTimeout {
+	if req.Query != nil && req.Query.TimeoutMs > 0 {
+		if d := time.Duration(req.Query.TimeoutMs) * time.Millisecond; d < s.cfg.RequestTimeout {
 			var c2 context.CancelFunc
 			ctx, c2 = context.WithTimeout(ctx, d)
 			defer c2()
 		}
 	}
-	w := newStreamWriter(ctx, sess, req.ID, sess.limits().window)
+	w := newStreamWriter(ctx, sess, req.ID, sess.lim.window)
 	w.cancelFn = cancel // a FrameCancel aborts the query context
 	w.onFirst = func() { s.firstBatch.Observe(time.Since(start)) }
-	if s.draining.Load() {
+	var refuse *WireError
+	switch {
+	case req.Query == nil:
+		refuse = Errorf(CodeBadRequest, "query payload missing")
+	case s.draining.Load():
 		// Refused before any execution: the client may re-route freely.
-		w.end(&StreamEnd{Error: Errorf(CodeUnavailable, "server draining")}, nil)
-		s.observeOp(OpQuery, time.Since(start), true)
+		refuse = Errorf(CodeUnavailable, "server draining")
+	case !sess.registerStream(req.ID, w):
+		refuse = Errorf(CodeBadRequest, "stream id %d already active on this connection", req.ID)
+	}
+	// Runs just before the End frame hits the wire (see end).
+	settle := func(end *StreamEnd) {
+		sess.dropStream(req.ID, w)
+		s.observeOp(OpQuery, time.Since(start), end.Error != nil)
+	}
+	if refuse != nil {
+		w.end(&StreamEnd{Error: refuse}, settle)
 		return
 	}
-	if !sess.registerStream(req.ID, w) {
-		w.end(&StreamEnd{Error: Errorf(CodeBadRequest, "stream id %d already active on this connection", req.ID)}, nil)
-		s.observeOp(OpQuery, time.Since(start), true)
-		return
-	}
-	// Unregistered by end()'s beforeEnd hook — before the End frame hits
-	// the wire — so a client reacting to End by reusing the ID on its next
-	// pipelined query cannot race the cleanup; the defer only covers error
-	// exits (dropStream is idempotent).
-	defer sess.dropStream(req.ID)
-	drop := func() { sess.dropStream(req.ID) }
 
 	tail, err := s.runQueryStreamed(ctx, req.Query, w)
-	failed := err != nil
 	if err == nil && tail.Streamed > 0 {
 		s.streamedQueries.Inc()
 		s.streamedRows.Add(uint64(tail.Streamed))
 	}
-	if failed {
+	if err != nil {
 		if w.cancelled.Load() {
 			// The client abandoned the stream; whatever the aborted
 			// execution reported, the terminal status is "cancelled".
@@ -773,26 +773,7 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 			tail = &StreamEnd{Error: toWireError(ctx, err)}
 		}
 	}
-	if werr := w.end(tail, drop); werr != nil {
-		failed = true
-		if !errors.Is(werr, net.ErrClosed) {
-			// The tail itself would not encode (e.g. a plan or error
-			// message past the negotiated frame cap): a stream must never
-			// end without its End frame, so degrade to a minimal error
-			// End — and sever the connection if even that cannot be sent,
-			// rather than leave the client waiting forever.
-			code := CodeInternal
-			var fse *FrameSizeError
-			if errors.As(werr, &fse) {
-				code = CodeFrameTooLarge
-			}
-			fallback := &StreamEnd{Error: Errorf(code, "encode stream end: frame limit exceeded")}
-			if werr2 := w.end(fallback, nil); werr2 != nil {
-				sess.conn.Close()
-			}
-		}
-	}
-	s.observeOp(OpQuery, time.Since(start), failed)
+	w.end(tail, settle)
 }
 
 // acquireAdmission passes the admission-control semaphore and accounts
@@ -822,18 +803,14 @@ func (s *Server) acquireAdmission(ctx context.Context) (func(), error) {
 	}, nil
 }
 
-// runQueryStreamed passes admission control, then executes the query
-// against a streaming backend — or falls back to the buffered Query path
-// re-chunked into batches for backends that predate streaming.
+// runQueryStreamed passes admission control, then executes the query,
+// emitting its result through out.
 //
-// The admission slot is held until the backend returns. With streaming
-// pushdown, result frames now flow *during* execution (the schema frame
-// arrives with the first batch, not after the collect), so releasing the
-// slot at the schema frame — as the buffered-era server did — would stop
-// bounding concurrent executions at all. The slot therefore covers
-// execution plus emission; the credit window already bounds how long a
-// slow reader can stretch that (the request timeout severs stalled
-// streams).
+// The admission slot is held until the backend returns. Result frames
+// flow *during* execution (the schema frame arrives with the first
+// batch, not after the collect), so the slot covers execution plus
+// emission; the credit window already bounds how long a slow reader can
+// stretch that (the request timeout severs stalled streams).
 func (s *Server) runQueryStreamed(ctx context.Context, q *QueryRequest, out *streamWriter) (*StreamEnd, error) {
 	release, err := s.acquireAdmission(ctx)
 	if err != nil {
@@ -842,47 +819,15 @@ func (s *Server) runQueryStreamed(ctx context.Context, q *QueryRequest, out *str
 	defer release()
 	forced := s.forceTrace(q)
 	start := time.Now()
-	if sb, ok := s.backend.(StreamingBackend); ok {
-		tail, err := sb.QueryStream(ctx, q, out)
-		if err != nil {
-			s.noteSlow(q, start, out.RowsStaged(), nil, nil, err, true)
-			return nil, err
-		}
-		s.noteSlow(q, start, out.RowsStaged(), nil, tail, nil, true)
-		if forced {
-			tail.Trace, tail.TraceID = nil, ""
-		}
-		return &StreamEnd{QueryTail: *tail}, nil
-	}
-	resp, err := s.backend.Query(ctx, q)
-	s.noteSlow(q, start, responseRows(resp), resp, nil, err, true)
+	tail, err := s.backend.QueryStream(ctx, q, out)
+	s.noteSlow(q, start, out.RowsStaged(), tail, err)
 	if err != nil {
 		return nil, err
 	}
 	if forced {
-		resp.Trace, resp.TraceID = nil, ""
+		tail.Trace, tail.TraceID = nil, ""
 	}
-	if err := out.Columns(resp.Columns); err != nil {
-		return nil, err
-	}
-	rows := resp.Rows.Typed
-	if rows == nil && resp.Rows.Any != nil {
-		if rows, err = rowsFromAny(resp.Rows.Any); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.Batch(rows); err != nil {
-		return nil, err
-	}
-	return &StreamEnd{QueryTail: QueryTail{
-		Epoch:    resp.Epoch,
-		Cached:   resp.Cached,
-		Phases:   resp.Phases,
-		Restarts: resp.Restarts,
-		Plan:     resp.Plan,
-		TraceID:  resp.TraceID,
-		Trace:    resp.Trace,
-	}}, nil
+	return &StreamEnd{QueryTail: *tail}, nil
 }
 
 func isEOF(err error) bool {
@@ -898,7 +843,7 @@ func (s *Server) dispatch(req *Request) *Response {
 		resp.Error = Errorf(CodeBadRequest, "unknown op %q", op)
 		return resp
 	}
-	if s.draining.Load() && (op == OpQuery || op == OpPublish || op == OpCreate) {
+	if s.draining.Load() && (op == OpPublish || op == OpCreate) {
 		// Refused before any execution — a proof of non-execution the
 		// client may act on by re-routing to another endpoint.
 		resp.Error = Errorf(CodeUnavailable, "server draining")
@@ -932,30 +877,13 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		return nil
 	case OpPublish:
 		if req.Publish == nil {
-			return Errorf(CodeBadRequest, "publish payload missing")
+			return Errorf(CodeBadRequest, "publish rows must arrive as a publish frame")
 		}
 		e, err := s.backend.Publish(ctx, req.Publish)
 		if err != nil {
 			return err
 		}
 		resp.Epoch = uint64(e)
-		return nil
-	case OpQuery:
-		if req.Query == nil {
-			return Errorf(CodeBadRequest, "query payload missing")
-		}
-		if ms := req.Query.TimeoutMs; ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < s.cfg.RequestTimeout {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, d)
-				defer cancel()
-			}
-		}
-		qr, err := s.runQuery(ctx, req.Query)
-		if err != nil {
-			return err
-		}
-		resp.Query = qr
 		return nil
 	case OpSchema:
 		rel := ""
@@ -986,36 +914,6 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 	return Errorf(CodeBadRequest, "unknown op %q", req.Op)
 }
 
-// runQuery passes the admission-control semaphore, then executes. The
-// wait is bounded by the request context so an overloaded server times
-// out queued queries instead of letting them pile up forever.
-func (s *Server) runQuery(ctx context.Context, q *QueryRequest) (*QueryResponse, error) {
-	release, err := s.acquireAdmission(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	forced := s.forceTrace(q)
-	start := time.Now()
-	qr, err := s.backend.Query(ctx, q)
-	s.noteSlow(q, start, responseRows(qr), qr, nil, err, false)
-	if forced && qr != nil {
-		qr.Trace, qr.TraceID = nil, ""
-	}
-	return qr, err
-}
-
-// responseRows counts a buffered response's result rows for accounting.
-func responseRows(qr *QueryResponse) int64 {
-	if qr == nil {
-		return 0
-	}
-	if qr.Rows.Typed != nil {
-		return int64(len(qr.Rows.Typed))
-	}
-	return int64(len(qr.Rows.Any))
-}
-
 // forceTrace turns tracing on for a query the client did not ask to
 // trace, so the slow-query log can capture its span tree; the caller
 // strips the tree back out of the response when it returns true.
@@ -1028,13 +926,9 @@ func (s *Server) forceTrace(q *QueryRequest) bool {
 }
 
 // noteSlow records a completed query in the slow-query log when its
-// service time crossed the threshold. Exactly one of qr/tail carries
-// the trace (buffered vs streamed path); both may be nil on error. rows
-// is the result size — collected rows on the buffered path, rows handed
-// to the stream writer on the streamed path, so streamed entries log
-// their true row count instead of the rows=0 the collect-time accounting
-// used to produce.
-func (s *Server) noteSlow(q *QueryRequest, start time.Time, rows int64, qr *QueryResponse, tail *QueryTail, err error, streamed bool) {
+// service time crossed the threshold. tail carries the trace and is nil
+// on error; rows is the count of rows handed to the stream writer.
+func (s *Server) noteSlow(q *QueryRequest, start time.Time, rows int64, tail *QueryTail, err error) {
 	d := time.Since(start)
 	if !s.slow.qualifies(d) {
 		return
@@ -1043,14 +937,10 @@ func (s *Server) noteSlow(q *QueryRequest, start time.Time, rows int64, qr *Quer
 		SQL:         q.SQL,
 		DurUs:       d.Microseconds(),
 		StartUnixMs: start.UnixMilli(),
-		Streamed:    streamed,
 		Rows:        rows,
 	}
 	if err != nil {
 		e.Error = err.Error()
-	}
-	if qr != nil {
-		e.TraceID, e.Trace = qr.TraceID, qr.Trace
 	}
 	if tail != nil {
 		e.TraceID, e.Trace = tail.TraceID, tail.Trace

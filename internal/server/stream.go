@@ -1,13 +1,9 @@
 package server
 
-// Binary streaming extension (negotiated via OpHello, FeatureBinaryStream).
-//
-// Framing: every frame still starts with a 4-byte big-endian length, but a
-// frame with the high bit of the length set is a *tagged binary frame*: the
-// first payload byte is a FrameKind, the rest is kind-specific. Legacy JSON
-// frames never set the bit (MaxFrame caps lengths far below it), so both
-// framings coexist on one connection and old peers are never confused — a
-// peer only sends tagged frames after hello succeeds.
+// Framing: every frame starts with a 4-byte big-endian length whose high
+// bit is set — the tag — followed by a FrameKind byte and the rest of the
+// kind-specific payload. A frame without the tag bit is a protocol error:
+// the server answers bad_request and closes the connection.
 //
 // A streamed query result is the frame sequence
 //
@@ -19,8 +15,8 @@ package server
 // its request ID. Backpressure is credit-based: the server may have at most
 // `window` un-acknowledged batch frames in flight per stream and the client
 // returns one credit per batch it consumes (Credit frames), so a slow reader
-// bounds server-side buffering at window × batch size instead of the old
-// buffer-the-whole-result MaxFrame cap.
+// bounds server-side buffering at window × batch size and no frame ever
+// holds a whole large result.
 
 import (
 	"context"
@@ -35,12 +31,12 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// FrameKind tags a binary frame's payload.
+// FrameKind tags a frame's payload.
 type FrameKind byte
 
 const (
-	// FrameJSON is a JSON Request/Response (also the implicit kind of
-	// every legacy untagged frame).
+	// FrameJSON is a JSON control message: a Request from the client or a
+	// Response from the server.
 	FrameJSON FrameKind = 0
 	// FrameSchema opens a result stream: request ID + column names.
 	FrameSchema FrameKind = 1
@@ -57,8 +53,8 @@ const (
 	// unknown or already-ended stream is a no-op.
 	FrameCancel FrameKind = 5
 	// FramePublish carries one publish as a typed column-major batch:
-	// request ID + relation + tuple batch (negotiated via
-	// FeatureBinaryPublish; answered with a normal JSON Response).
+	// request ID + publish ID + relation + tuple batch (answered with a
+	// JSON Response). It is the only way a publish arrives.
 	FramePublish FrameKind = 6
 )
 
@@ -83,8 +79,8 @@ func (k FrameKind) String() string {
 	}
 }
 
-// binaryFrameBit marks a tagged binary frame in the length header.
-const binaryFrameBit = uint32(1) << 31
+// frameTagBit marks a tagged frame in the length header.
+const frameTagBit = uint32(1) << 31
 
 // Stream tuning defaults (server side; window is negotiated down by hello).
 const (
@@ -123,8 +119,8 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// maxPooledFrameBuf bounds what returns to the pool: one huge buffered
-// response must not permanently pin its capacity in every session.
+// maxPooledFrameBuf bounds what returns to the pool: one huge frame must
+// not permanently pin its capacity in every session.
 const maxPooledFrameBuf = 1 << 20
 
 func getFrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
@@ -137,32 +133,35 @@ func putFrameBuf(b *[]byte) {
 	frameBufPool.Put(b)
 }
 
-// ReadRawFrame reads one frame of either framing. It returns the frame's
-// kind (FrameJSON for legacy frames), its payload (excluding the kind
-// byte), and whether the frame was binary-tagged. Oversized frames return
-// a *FrameSizeError; the connection cannot be re-synchronized afterwards.
-func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, bool, error) {
+// errUntaggedFrame reports a frame whose length header lacks the tag bit
+// (a peer speaking an older protocol version).
+var errUntaggedFrame = errors.New("server: untagged frame")
+
+// ReadRawFrame reads one tagged frame, returning its kind and its payload
+// (excluding the kind byte). Oversized frames return a *FrameSizeError;
+// the connection cannot be re-synchronized afterwards, nor after an
+// untagged frame.
+func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, false, err
+		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	isBinary := n&binaryFrameBit != 0
-	n &^= binaryFrameBit
-	if int64(n) > maxFrame {
-		return 0, nil, isBinary, &FrameSizeError{Size: int64(n), Max: maxFrame}
+	if n&frameTagBit == 0 {
+		return 0, nil, errUntaggedFrame
 	}
-	if isBinary && n == 0 {
-		return 0, nil, true, errors.New("server: empty binary frame")
+	n &^= frameTagBit
+	if int64(n) > maxFrame {
+		return 0, nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
+	}
+	if n == 0 {
+		return 0, nil, errors.New("server: empty frame")
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, isBinary, err
+		return 0, nil, err
 	}
-	if !isBinary {
-		return FrameJSON, body, false, nil
-	}
-	return FrameKind(body[0]), body[1:], true, nil
+	return FrameKind(body[0]), body[1:], nil
 }
 
 // beginBinaryFrame appends a placeholder header + kind byte to dst and
@@ -178,7 +177,7 @@ func finishBinaryFrame(dst []byte, mark int, maxFrame int64) ([]byte, error) {
 	if int64(n) > maxFrame {
 		return nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
 	}
-	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n)|binaryFrameBit)
+	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n)|frameTagBit)
 	return dst, nil
 }
 
@@ -189,8 +188,8 @@ func AppendBinaryFrame(dst []byte, kind FrameKind, payload []byte, maxFrame int6
 	return finishBinaryFrame(dst, mark, maxFrame)
 }
 
-// AppendTaggedJSONFrame appends a binary-tagged FrameJSON frame for v.
-func AppendTaggedJSONFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
+// AppendJSONFrame appends a FrameJSON frame carrying v marshaled as JSON.
+func AppendJSONFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
 	dst, mark := beginBinaryFrame(dst, FrameJSON)
 	var err error
 	dst, err = appendJSON(dst, v)
@@ -392,7 +391,7 @@ type streamWriter struct {
 }
 
 func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
-	maxFrame := sess.limits().maxFrame
+	maxFrame := sess.lim.maxFrame
 	target := defaultStreamBatchBytes
 	// Leave generous headroom under the frame cap: compression is applied
 	// after the cut, but incompressible data must still fit.
@@ -821,14 +820,16 @@ func (w *streamWriter) waitCredit() error {
 
 // end flushes pending rows and sends the terminal frame. When the stream
 // failed before producing its schema frame, the End frame is still the
-// first and only frame — clients handle End-before-Schema.
+// first and only frame — clients handle End-before-Schema. A tail that
+// will not encode (a plan or error message past the frame cap) is
+// replaced by a minimal error End: a stream must never end without one.
 //
-// beforeEnd (optional) runs after the final flush but before the End
-// frame is written: the dispatcher unregisters the stream there, so by
-// the time a client sees End — and may immediately reuse the request ID
-// on its next query — the ID is already free. (Unregistering after the
-// write, as a deferred cleanup, raced exactly that reuse.)
-func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
+// settle runs with the final tail after the End frame is encoded but
+// before it is written: the dispatcher unregisters and accounts the
+// stream there, so by the time a client sees End — and may at once
+// reuse the request ID or ask for status — the ID is free and the query
+// counted.
+func (w *streamWriter) end(tail *StreamEnd, settle func(*StreamEnd)) error {
 	if tail.Error == nil {
 		err := w.flush()
 		if err == nil {
@@ -844,25 +845,38 @@ func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
 		}
 	}
 	w.releaseStaging()
-	if beforeEnd != nil {
-		beforeEnd()
-	}
-	tail.Rows = w.rows
-	tail.Batches = w.batches
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameEnd)
+	frame, err := w.appendEnd((*buf)[:0], tail)
+	if err != nil {
+		code := CodeInternal
+		var fse *FrameSizeError
+		if errors.As(err, &fse) {
+			code = CodeFrameTooLarge
+		}
+		tail = &StreamEnd{Error: Errorf(code, "encode stream end: frame limit exceeded")}
+		frame, err = w.appendEnd((*buf)[:0], tail)
+	}
+	settle(tail)
+	if err != nil {
+		w.sess.conn.Close() // no End frame at all: sever rather than leave the client waiting
+		return err
+	}
+	*buf = frame[:0]
+	return w.sess.write(frame)
+}
+
+// appendEnd appends the stream's End frame carrying tail.
+func (w *streamWriter) appendEnd(dst []byte, tail *StreamEnd) ([]byte, error) {
+	tail.Rows = w.rows
+	tail.Batches = w.batches
+	dst, mark := beginBinaryFrame(dst, FrameEnd)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	dst, err := appendJSON(dst, tail)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dst, err = finishBinaryFrame(dst, mark, w.maxFrame)
-	if err != nil {
-		return err
-	}
-	*buf = dst[:0]
-	return w.sess.write(dst)
+	return finishBinaryFrame(dst, mark, w.maxFrame)
 }
 
 // credit is called by the session read loop when a FrameCredit arrives.

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -14,88 +10,16 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// streamStub is a StreamingBackend emitting scripted batches.
-type streamStub struct {
-	stubBackend
-	cols    []string
-	batches [][]tuple.Row
-	tail    QueryTail
-	gate    chan struct{} // when set, received before each batch
-}
-
-func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	if b.queryErr != nil {
-		return nil, b.queryErr
-	}
-	if err := out.Columns(b.cols); err != nil {
-		return nil, err
-	}
-	for _, rows := range b.batches {
-		if b.gate != nil {
-			select {
-			case <-b.gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if err := out.Batch(rows); err != nil {
-			return nil, err
-		}
-	}
-	t := b.tail
-	return &t, nil
-}
-
-// doHello performs the handshake on a raw test connection and returns
-// the negotiated settings.
-func doHello(t *testing.T, conn net.Conn, br *bufio.Reader, req *HelloRequest) *HelloResponse {
-	t.Helper()
-	if req == nil {
-		req = &HelloRequest{Version: ProtocolVersion, Features: []string{FeatureBinaryStream}}
-	}
-	if err := WriteFrame(conn, &Request{ID: 99, Op: OpHello, Hello: req}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != nil {
-		t.Fatalf("hello: %v", resp.Error)
-	}
-	if resp.Hello == nil {
-		t.Fatal("hello: no payload")
-	}
-	return resp.Hello
-}
-
-// readAnyResponse reads one JSON response of either framing.
-func readAnyResponse(br *bufio.Reader, resp *Response) error {
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil {
-		return err
-	}
-	if kind != FrameJSON {
-		return errors.New("not a JSON frame")
-	}
-	return UnmarshalJSONFrame(payload, resp)
-}
-
 func TestHelloNegotiation(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{StreamWindow: 6})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{
+	conn := dialRaw(t, s)
+	h := conn.hello(t, &HelloRequest{
 		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream, "future-feature"},
 		MaxFrame: 1 << 20,
 		Window:   4,
 	})
 	if h.Version != ProtocolVersion {
 		t.Fatalf("version %d", h.Version)
-	}
-	if len(h.Features) != 1 || h.Features[0] != FeatureBinaryStream {
-		t.Fatalf("features %v: unknown features must not be echoed", h.Features)
 	}
 	if h.MaxFrame != 1<<20 {
 		t.Fatalf("max frame %d, want the client's lower 1MiB", h.MaxFrame)
@@ -109,29 +33,6 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 }
 
-func TestHelloWithoutBinaryKeepsJSON(t *testing.T) {
-	stub := &stubBackend{}
-	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{Version: ProtocolVersion})
-	if len(h.Features) != 0 {
-		t.Fatalf("features %v", h.Features)
-	}
-	// A Stream query on a JSON session is answered as plain JSON.
-	req := &Request{ID: 5, Op: OpQuery, Query: &QueryRequest{SQL: "q", Stream: true}}
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != nil || resp.Query == nil {
-		t.Fatalf("stream-on-json fallback: %+v", resp)
-	}
-}
-
 // TestStreamedQueryFrames drives the full frame sequence against a
 // scripted streaming backend and checks shape, content, and IDs.
 func TestStreamedQueryFrames(t *testing.T) {
@@ -142,25 +43,17 @@ func TestStreamedQueryFrames(t *testing.T) {
 		}
 		return out
 	}
-	stub := &streamStub{
+	stub := &stubBackend{
 		cols:    []string{"a", "b"},
 		batches: [][]tuple.Row{rows(0, 10), rows(10, 25)},
 		tail:    QueryTail{Epoch: 42, Phases: 1},
 	}
 	s := startTestServer(t, stub, Config{})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
 
 	const reqID = 777
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
+	kind, payload := conn.frame(t)
 	if kind != FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
@@ -173,10 +66,7 @@ func TestStreamedQueryFrames(t *testing.T) {
 	}
 	var got []tuple.Row
 	for {
-		kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
+		kind, payload = conn.frame(t)
 		if kind == FrameBatch {
 			id, rows, err := DecodeBatchPayload(payload)
 			if err != nil || id != reqID {
@@ -216,37 +106,29 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	for i := range big {
 		big[i] = tuple.Row{tuple.I(int64(i)), tuple.S("padpadpadpadpadpadpadpad")}
 	}
-	stub := &streamStub{
+	stub := &stubBackend{
 		cols:    []string{"a", "b"},
 		batches: [][]tuple.Row{big[:700], big[700:1400], big[1400:]},
 	}
 	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
+	conn := dialRaw(t, s)
 	// Negotiate a small frame cap so the byte target (maxFrame/4 = 16KiB)
 	// cuts the ~70KiB result into several wire batches; window 1 then
 	// stalls the stream after each un-credited batch.
-	h := doHello(t, conn, br, &HelloRequest{
-		Version: ProtocolVersion, Features: []string{FeatureBinaryStream},
-		Window: 1, MaxFrame: 64 << 10,
-	})
+	h := conn.hello(t, &HelloRequest{Version: ProtocolVersion, Window: 1, MaxFrame: 64 << 10})
 	if h.Window != 1 {
 		t.Fatalf("window %d", h.Window)
 	}
 	const reqID = 9
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
 	// Schema, then exactly one batch; the server now owes us nothing
 	// until we grant credit.
-	kind, _, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	if kind, _ := conn.frame(t); kind != FrameSchema {
+		t.Fatalf("kind=%v", kind)
 	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	kind, payload := conn.frame(t)
+	if kind != FrameBatch {
+		t.Fatalf("kind=%v", kind)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	_, rows1, err := DecodeBatchPayload(payload)
@@ -255,11 +137,9 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	}
 	// Interleave: a ping mid-stream gets its response while the stream
 	// is stalled on credit.
-	if err := WriteFrame(conn, &Request{ID: 10, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
+	conn.send(t, &Request{ID: 10, Op: OpPing})
+	resp, err := conn.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 10 || resp.Error != nil {
@@ -268,18 +148,8 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	// Grant credits until the stream completes.
 	total := len(rows1)
 	for {
-		credit := AppendCreditPayload(nil, reqID, 1)
-		frame, err := AppendBinaryFrame(nil, FrameCredit, credit, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn.credit(t, reqID)
+		kind, payload := conn.frame(t)
 		if kind == FrameEnd {
 			_, end, err := DecodeEndPayload(payload)
 			if err != nil || end.Error != nil {
@@ -319,48 +189,19 @@ func TestStreamHeterogeneousRowTypes(t *testing.T) {
 			rows = append(rows, tuple.Row{tuple.F(float64(i))})
 		}
 	}
-	stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}}
+	stub := &stubBackend{cols: []string{"x"}, batches: [][]tuple.Row{rows}}
 	s := startTestServer(t, stub, Config{StreamWindow: 64})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
+	r := conn.query(t, 1, &QueryRequest{SQL: "q"})
+	if r.errCode() != "" {
+		t.Fatalf("heterogeneous stream failed: %s", r.errCode())
 	}
-	var got []tuple.Row
-	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case FrameSchema:
-		case FrameBatch:
-			_, batch, err := DecodeBatchPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, batch...)
-		case FrameEnd:
-			_, end, err := DecodeEndPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if end.Error != nil {
-				t.Fatalf("heterogeneous stream failed: %v", end.Error)
-			}
-			if len(got) != len(rows) {
-				t.Fatalf("streamed %d rows, want %d", len(got), len(rows))
-			}
-			for i := range rows {
-				if !got[i].Equal(rows[i]) || got[i][0].T != rows[i][0].T {
-					t.Fatalf("row %d: %v (type %v) != %v", i, got[i], got[i][0].T, rows[i])
-				}
-			}
-			return
-		default:
-			t.Fatalf("unexpected %v frame", kind)
+	if len(r.rows) != len(rows) {
+		t.Fatalf("streamed %d rows, want %d", len(r.rows), len(rows))
+	}
+	for i := range rows {
+		if !r.rows[i].Equal(rows[i]) || r.rows[i][0].T != rows[i][0].T {
+			t.Fatalf("row %d: %v (type %v) != %v", i, r.rows[i], r.rows[i][0].T, rows[i])
 		}
 	}
 }
@@ -374,28 +215,19 @@ func TestStreamDuplicateIDRejected(t *testing.T) {
 		rows[i] = tuple.Row{tuple.I(int64(i))}
 	}
 	gate := make(chan struct{})
-	stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}, gate: gate}
+	stub := &stubBackend{cols: []string{"x"}, batches: [][]tuple.Row{rows}, gate: gate}
 	s := startTestServer(t, stub, Config{MaxConcurrentQueries: 4})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
 	// First stream: parks before its batch, holding ID 5 active.
-	if err := WriteFrame(conn, &Request{ID: 5, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, _, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	conn.send(t, &Request{ID: 5, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
+	if kind, _ := conn.frame(t); kind != FrameSchema {
+		t.Fatalf("kind=%v", kind)
 	}
 	// Second stream reusing ID 5 is rejected outright.
-	if err := WriteFrame(conn, &Request{ID: 5, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	conn.send(t, &Request{ID: 5, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
+	kind, payload := conn.frame(t)
+	if kind != FrameEnd {
+		t.Fatalf("kind=%v", kind)
 	}
 	if _, end, err := DecodeEndPayload(payload); err != nil ||
 		end.Error == nil || end.Error.Code != CodeBadRequest {
@@ -403,49 +235,46 @@ func TestStreamDuplicateIDRejected(t *testing.T) {
 	}
 	// The first stream completes untouched.
 	close(gate)
-	var got int
-	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == FrameBatch {
-			_, batch, err := DecodeBatchPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got += len(batch)
-			continue
-		}
-		if kind != FrameEnd {
-			t.Fatalf("kind=%v", kind)
-		}
-		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil {
-			t.Fatalf("first stream end %+v err=%v", end, err)
-		}
-		break
+	if r := conn.await(t, 5); r.errCode() != "" || len(r.rows) != len(rows) {
+		t.Fatalf("first stream: %q, %d rows, want %d", r.errCode(), len(r.rows), len(rows))
 	}
-	if got != len(rows) {
-		t.Fatalf("first stream rows %d, want %d", got, len(rows))
+}
+
+// TestStreamIDReuseKeepsCredits: a finished stream's cleanup that runs
+// after the client reused its ID must not unregister the new stream —
+// the new stream would lose every credit and stall until its timeout.
+func TestStreamIDReuseKeepsCredits(t *testing.T) {
+	sess := &session{streams: make(map[uint64]*streamWriter)}
+	first := &streamWriter{credits: make(chan uint64, 1)}
+	second := &streamWriter{credits: make(chan uint64, 1)}
+	if !sess.registerStream(1, first) {
+		t.Fatal("first stream not registered")
+	}
+	sess.dropStream(1, first) // first stream ends: its ID is free again
+	if !sess.registerStream(1, second) {
+		t.Fatal("reused ID not registered")
+	}
+	sess.dropStream(1, first) // the first stream's cleanup runs again, late
+	sess.creditStream(1, 1)
+	select {
+	case n := <-second.credits:
+		if n != 1 {
+			t.Fatalf("credit %d, want 1", n)
+		}
+	default:
+		t.Fatal("second stream lost its credit: the first stream's cleanup unregistered it")
 	}
 }
 
 // TestStreamErrorInEndFrame: a failing query on a stream request is
 // reported in the End frame, and the session survives.
 func TestStreamErrorInEndFrame(t *testing.T) {
-	stub := &streamStub{}
-	stub.queryErr = errors.New("boom")
-	s := startTestServer(t, stub, Config{})
+	s := startTestServer(t, &stubBackend{queryErr: errors.New("boom")}, Config{})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 3, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	conn.send(t, &Request{ID: 3, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
+	kind, payload := conn.frame(t)
+	if kind != FrameEnd {
+		t.Fatalf("kind=%v", kind)
 	}
 	id, end, err := DecodeEndPayload(payload)
 	if err != nil || id != 3 {
@@ -455,44 +284,9 @@ func TestStreamErrorInEndFrame(t *testing.T) {
 		t.Fatalf("end error %+v", end.Error)
 	}
 	// Session alive.
-	if err := WriteFrame(conn, &Request{ID: 4, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil || resp.Error != nil {
-		t.Fatalf("session died: %v %v", err, resp.Error)
-	}
-}
-
-// TestStreamFallbackChunksBufferedBackend: a backend without
-// StreamingBackend still serves stream requests (server-side re-chunk).
-func TestStreamFallbackChunksBufferedBackend(t *testing.T) {
-	s := startTestServer(t, &stubBackend{}, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 8, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	_, rows, err := DecodeBatchPayload(payload)
-	if err != nil || len(rows) != 1 || rows[0][0].I64 != 1 {
-		t.Fatalf("rows %v err=%v", rows, err)
-	}
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil || end.Epoch != 3 {
-		t.Fatalf("end %+v err=%v", end, err)
+	conn.send(t, &Request{ID: 4, Op: OpPing})
+	if resp, err := conn.readResponse(); err != nil || resp.Error != nil {
+		t.Fatalf("session died: %v %+v", err, resp)
 	}
 }
 
@@ -500,60 +294,37 @@ func TestStreamFallbackChunksBufferedBackend(t *testing.T) {
 // closing instead of silently dropping the connection.
 func TestInboundFrameTooLarge(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{MaxFrame: 1 << 10})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	big := &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: string(make([]byte, 4<<10))}}
-	if err := WriteFrame(conn, big); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
+	conn := dialTest(t, s) // hello floors the limit at MinFrame
+	conn.send(t, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: string(make([]byte, MinFrame))}})
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := readAnyResponse(br, &resp); err != nil {
+	resp, err := conn.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error == nil || resp.Error.Code != CodeFrameTooLarge {
 		t.Fatalf("got %+v, want frame_too_large", resp.Error)
 	}
 	// The connection is closed afterwards (framing lost).
-	if err := readAnyResponse(br, &resp); err == nil {
+	if _, err := conn.readResponse(); err == nil {
 		t.Fatal("connection survived unreadable frame")
 	}
 }
 
-// TestOversizedJSONResultFailsRequest: a result bigger than the frame
-// cap fails that request with frame_too_large; the session survives and
-// the same query succeeds via streaming.
-func TestOversizedJSONResultFailsRequest(t *testing.T) {
+// TestOversizedResultStreams: a result far bigger than the frame cap
+// streams to completion, cut into batch frames that each fit the cap.
+func TestOversizedResultStreams(t *testing.T) {
 	var rows []tuple.Row
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S("pad pad pad pad pad pad")})
 	}
-	stub := &streamStub{cols: []string{"a", "b"}, batches: [][]tuple.Row{rows}}
-	stub.queryResp = &QueryResponse{Columns: []string{"a", "b"}, Rows: EncodeRows(rows), Epoch: 3}
-	s := startTestServer(t, stub, Config{MaxFrame: 16 << 10})
+	stub := &stubBackend{cols: []string{"a", "b"}, batches: [][]tuple.Row{rows}}
+	const maxFrame = 16 << 10
+	s := startTestServer(t, stub, Config{MaxFrame: maxFrame})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "big"}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeFrameTooLarge {
-		t.Fatalf("got %+v, want frame_too_large", resp.Error)
-	}
-
-	// Same result via streaming completes: each batch frame fits.
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpQuery,
-		Query: &QueryRequest{SQL: "big", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	var n int
+	conn.send(t, &Request{ID: 2, Op: OpQuery, Query: &QueryRequest{SQL: "big"}})
+	var n, batches int
 	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
+		kind, payload, err := ReadRawFrame(conn.br, maxFrame) // every frame fits the cap
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,23 +336,17 @@ func TestOversizedJSONResultFailsRequest(t *testing.T) {
 				t.Fatal(err)
 			}
 			n += len(batch)
-			// Keep the credit window sliding: with a 16KiB frame cap the
-			// result spans far more batch frames than the default window.
-			credit := AppendCreditPayload(nil, 2, 1)
-			frame, err := AppendBinaryFrame(nil, FrameCredit, credit, MaxFrame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
+			batches++
+			// Keep the credit window sliding: the result spans far more
+			// batch frames than the default window.
+			conn.credit(t, 2)
 		case FrameEnd:
 			_, end, err := DecodeEndPayload(payload)
 			if err != nil || end.Error != nil {
 				t.Fatalf("end %+v err=%v", end, err)
 			}
-			if n != len(rows) {
-				t.Fatalf("streamed %d rows, want %d", n, len(rows))
+			if n != len(rows) || batches < 2 {
+				t.Fatalf("streamed %d rows in %d batches, want %d rows in several", n, batches, len(rows))
 			}
 			return
 		default:
@@ -590,41 +355,10 @@ func TestOversizedJSONResultFailsRequest(t *testing.T) {
 	}
 }
 
-// TestWireRowsJSON checks the append-based row encoder against
-// encoding/json output and the NaN rejection.
-func TestWireRowsJSON(t *testing.T) {
-	rows := []tuple.Row{
-		{tuple.I(5), tuple.F(2), tuple.F(2.5), tuple.S("x")},
-		{tuple.I(-7), tuple.F(1e300), tuple.F(-0.125), tuple.S("quote\"back\\slash\nnewline\x01ctl")},
-	}
-	got, err := json.Marshal(EncodeRows(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The encoder's output must itself be valid JSON that decodes to the
-	// same values.
-	var wire WireRows
-	if err := wire.UnmarshalJSON(got); err != nil {
-		t.Fatalf("self-decode: %v (payload %s)", err, got)
-	}
-	if len(wire.Any) != 2 {
-		t.Fatalf("rows %d", len(wire.Any))
-	}
-	if v, _ := DecodeValue(wire.Any[1][3]); v != "quote\"back\\slash\nnewline\x01ctl" {
-		t.Fatalf("string mangled: %q", v)
-	}
-	if v, _ := DecodeValue(wire.Any[0][1]); v != float64(2) {
-		t.Fatalf("integral float mangled: %v", v)
-	}
-	if v, _ := DecodeValue(wire.Any[0][0]); v != int64(5) {
-		t.Fatalf("int mangled: %v", v)
-	}
-}
-
 // TestStreamCancelFrame: a cancel frame stops server-side emission, the
 // stream still terminates with a "cancelled" End frame, the admission
-// slot is returned, and the connection (with its negotiated state)
-// remains usable for further requests.
+// slot is returned, and the connection remains usable for further
+// requests.
 func TestStreamCancelFrame(t *testing.T) {
 	// Rows big enough that each backend batch crosses the writer's flush
 	// threshold (256 KiB), so batch frames go out before stream end.
@@ -634,60 +368,37 @@ func TestStreamCancelFrame(t *testing.T) {
 		big[i] = tuple.Row{tuple.I(int64(i)), tuple.S(pad)}
 	}
 	gate := make(chan struct{}, 1)
-	stub := &streamStub{
+	stub := &stubBackend{
 		cols:    []string{"a", "b"},
 		batches: [][]tuple.Row{big[:1000], big[1000:2000], big[2000:]},
 		gate:    gate,
 	}
 	s := startTestServer(t, stub, Config{StreamWindow: 1})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, &HelloRequest{
-		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream},
-		Window:   1,
-	})
+	conn := dialRaw(t, s)
+	conn.hello(t, &HelloRequest{Version: ProtocolVersion, Window: 1})
 
 	const reqID = 11
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(t, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
 	gate <- struct{}{} // release the first backend batch
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("first frame %v err=%v, want schema", kind, err)
+	if kind, _ := conn.frame(t); kind != FrameSchema {
+		t.Fatalf("first frame %v, want schema", kind)
 	}
 	// Consume frames until the first batch arrives; the window of 1 then
 	// stalls the writer while the backend waits on its gate.
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("second frame %v err=%v, want batch", kind, err)
+	kind, payload := conn.frame(t)
+	if kind != FrameBatch {
+		t.Fatalf("second frame %v, want batch", kind)
 	}
 	if id, _, err := DecodeBatchPayload(payload); err != nil || id != reqID {
 		t.Fatalf("batch id=%d err=%v", id, err)
 	}
 
 	// Abandon the stream: no credits, just a cancel frame.
-	cancel := AppendCancelPayload(nil, reqID)
-	frame, err := AppendBinaryFrame(nil, FrameCancel, cancel, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
+	conn.sendFrame(t, FrameCancel, AppendCancelPayload(nil, reqID))
 
 	// Everything up to End is drained; End must carry the cancelled code.
-	for {
-		kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == FrameBatch {
-			continue // in-flight before the cancel landed
-		}
-		break
+	for kind == FrameBatch {
+		kind, payload = conn.frame(t) // batches in flight before the cancel landed
 	}
 	if kind != FrameEnd {
 		t.Fatalf("terminal frame %v, want end", kind)
@@ -709,12 +420,10 @@ func TestStreamCancelFrame(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The connection and its negotiated binary framing remain usable.
-	if err := WriteFrame(conn, &Request{ID: 12, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
+	// The connection remains usable.
+	conn.send(t, &Request{ID: 12, Op: OpPing})
+	resp, err := conn.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 12 || resp.Error != nil {
@@ -722,18 +431,9 @@ func TestStreamCancelFrame(t *testing.T) {
 	}
 
 	// A cancel for an unknown stream is ignored, not fatal.
-	unknown := AppendCancelPayload(nil, 9999)
-	frame, err = AppendBinaryFrame(nil, FrameCancel, unknown, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, &Request{ID: 13, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if err := readAnyResponse(br, &resp); err != nil {
+	conn.sendFrame(t, FrameCancel, AppendCancelPayload(nil, 9999))
+	conn.send(t, &Request{ID: 13, Op: OpPing})
+	if resp, err = conn.readResponse(); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 13 || resp.Error != nil {

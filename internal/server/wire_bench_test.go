@@ -1,8 +1,8 @@
 package server
 
 // Wire-path microbenchmarks (CI runs `-bench=Wire -benchtime=1x` as a
-// smoke test; run with -benchtime=2s for real numbers). They compare the
-// two result codecs at the encode/decode layer — the end-to-end numbers
+// smoke test; run with -benchtime=2s for real numbers). They measure the
+// batch frame codec at the encode/decode layer — the end-to-end numbers
 // live in cmd/orchestra-load's BENCH_wire.json.
 
 import (
@@ -24,58 +24,6 @@ func benchResultRows(n int) []tuple.Row {
 		}
 	}
 	return rows
-}
-
-// BenchmarkWireJSONResponse measures the buffered JSON result path:
-// one Response frame carrying all rows (the pre-streaming wire format,
-// now with the append-based row encoder).
-func BenchmarkWireJSONResponse(b *testing.B) {
-	resp := &Response{ID: 1, Query: &QueryResponse{
-		Columns: []string{"k", "grp", "v", "f"},
-		Rows:    EncodeRows(benchResultRows(1000)),
-		Epoch:   7,
-	}}
-	var frame []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		frame, err = AppendFrame(frame[:0], resp, MaxFrame)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(frame)))
-}
-
-// BenchmarkWireJSONResponseDecode measures the client side of the JSON
-// path: frame parse with json.Number plus per-cell DecodeValue.
-func BenchmarkWireJSONResponseDecode(b *testing.B) {
-	frame, err := AppendFrame(nil, &Response{ID: 1, Query: &QueryResponse{
-		Columns: []string{"k", "grp", "v", "f"},
-		Rows:    EncodeRows(benchResultRows(1000)),
-		Epoch:   7,
-	}}, MaxFrame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := frame[4:]
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var resp Response
-		if err := UnmarshalJSONFrame(body, &resp); err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range resp.Query.Rows.Any {
-			for _, v := range row {
-				if _, err := DecodeValue(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
 }
 
 // BenchmarkWireBinaryBatchFrame measures the streaming path's per-batch

@@ -31,8 +31,8 @@ type ServeOptions struct {
 	// while its admission slot is held (instrumentation hook).
 	OnQueryStart func()
 	// MaxFrame bounds a single wire frame (default server.MaxFrame).
-	// Results larger than this must use the binary streaming path, which
-	// bounds per-batch frames instead of the whole result.
+	// Query results are cut into batch frames that each fit it, so it
+	// bounds requests and control responses, never a whole result.
 	MaxFrame int64
 	// StreamWindow is the per-stream credit window offered to streaming
 	// clients, in batch frames (default server.DefaultStreamWindow).
@@ -110,8 +110,8 @@ func (s *Server) ServeOps(addr string) (string, error) {
 }
 
 // Serve exposes the cluster at addr (TCP, ":0" picks a free port) over
-// the length-prefixed JSON wire protocol: create, publish, query (with
-// epoch pinning, recovery mode, provenance), schema/catalog, and
+// the tagged-frame wire protocol: create, publish, query (with epoch
+// pinning, recovery mode, provenance), schema/catalog, and
 // status/stats. Each connection is a session served by its own
 // goroutine; query executions pass an admission-control semaphore. Call
 // Serve once per node index to give every node its own endpoint.
@@ -236,23 +236,10 @@ func (b *clusterBackend) Publish(ctx context.Context, req *server.PublishRequest
 	if !ok {
 		return 0, server.Errorf(server.CodeNotFound, "unknown relation %q", req.Relation)
 	}
-	if req.TypedRows != nil {
-		// Binary publish: rows arrived typed by the wire batch codec;
-		// coercion is a per-column type check, not per-value JSON parsing.
-		if err := server.CoerceTypedRows(s, req.TypedRows); err != nil {
-			return 0, err
-		}
-		return b.c.PublishTypedID(b.node, req.Relation, req.TypedRows, req.PublishID)
+	if err := server.CoerceTypedRows(s, req.TypedRows); err != nil {
+		return 0, err
 	}
-	rows := make([]tuple.Row, len(req.Rows))
-	for i, r := range req.Rows {
-		row, err := server.CoerceRow(s, r)
-		if err != nil {
-			return 0, err
-		}
-		rows[i] = row
-	}
-	return b.c.PublishTypedID(b.node, req.Relation, rows, req.PublishID)
+	return b.c.PublishTypedID(b.node, req.Relation, req.TypedRows, req.PublishID)
 }
 
 // queryOptions maps a wire query request onto embedded query options.
@@ -280,32 +267,7 @@ func (b *clusterBackend) queryOptions(ctx context.Context, req *server.QueryRequ
 	return opts, nil
 }
 
-func (b *clusterBackend) Query(ctx context.Context, req *server.QueryRequest) (*server.QueryResponse, error) {
-	opts, err := b.queryOptions(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	res, err := b.c.QueryOpts(req.SQL, opts)
-	if err != nil {
-		return nil, wireQueryError(err)
-	}
-	qr := &server.QueryResponse{
-		Columns:  res.Columns,
-		Rows:     server.EncodeRows(res.Rows),
-		Epoch:    uint64(res.Epoch),
-		Cached:   res.Cached,
-		Phases:   res.Phases,
-		Restarts: res.Restarts,
-		TraceID:  res.TraceID,
-		Trace:    res.Trace,
-	}
-	if req.Explain {
-		qr.Plan = res.Plan
-	}
-	return qr, nil
-}
-
-// QueryStream implements server.StreamingBackend: the result flows to
+// QueryStream implements server.Backend: the result flows to
 // the wire as row batches under the stream's flow control, never as one
 // materialized wire-encoded response. Against a BatchStream the engine's
 // columnar answer is handed over as column vectors — batch frames are
