@@ -28,8 +28,8 @@ func newScanCluster(t *testing.T, rows int) *Cluster {
 }
 
 // TestQueryBatchesColumnar checks the serving hand-off: a non-provenance
-// scan emits its whole answer through the columnar callback — the row
-// callback must never fire — and the content matches the buffered Query.
+// scan emits its whole answer through the columnar callback, and the
+// content matches the buffered Query.
 func TestQueryBatchesColumnar(t *testing.T) {
 	c := newScanCluster(t, 500)
 	q := "SELECT k, grp, v FROM bq WHERE v >= 100 AND v < 400"
@@ -42,11 +42,10 @@ func TestQueryBatchesColumnar(t *testing.T) {
 	}
 
 	var gotRows []tuple.Row
-	var rowEmits, colEmits int
+	var colEmits int
 	var meta *Result
 	res, err := c.QueryBatches(q, QueryOptions{},
 		func(m *Result) error { meta = m; return nil },
-		func(rows []tuple.Row) error { rowEmits++; return nil },
 		func(b *tuple.Batch) error {
 			colEmits++
 			gotRows = append(gotRows, b.Rows()...)
@@ -57,9 +56,6 @@ func TestQueryBatchesColumnar(t *testing.T) {
 	}
 	if meta == nil || meta.Rows != nil {
 		t.Fatalf("start meta: %+v", meta)
-	}
-	if rowEmits != 0 {
-		t.Fatalf("row callback fired %d times on the columnar path", rowEmits)
 	}
 	if colEmits == 0 {
 		t.Fatal("columnar callback never fired")
@@ -81,24 +77,31 @@ func TestQueryBatchesColumnar(t *testing.T) {
 	}
 }
 
-// TestQueryBatchesProvenanceFallsBackToRows: provenance-mode collections
-// are row-granular, so the answer must arrive through the row callback.
-func TestQueryBatchesProvenanceFallsBackToRows(t *testing.T) {
+// TestQueryBatchesProvenanceEmitsBatch: provenance-mode collections are
+// columnar too — the answer arrives through the batch callback, each
+// provenance set having stayed beside its row at the initiator.
+func TestQueryBatchesProvenanceEmitsBatch(t *testing.T) {
 	c := newScanCluster(t, 200)
 	q := "SELECT k, v FROM bq WHERE v < 50"
-	var rowCount, colEmits int
-	_, err := c.QueryBatches(q, QueryOptions{Provenance: true},
+	var got []tuple.Row
+	res, err := c.QueryBatches(q, QueryOptions{Provenance: true},
 		func(*Result) error { return nil },
-		func(rows []tuple.Row) error { rowCount += len(rows); return nil },
-		func(b *tuple.Batch) error { colEmits++; return nil })
+		func(b *tuple.Batch) error { got = append(got, b.Rows()...); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if colEmits != 0 {
-		t.Fatalf("columnar callback fired %d times in provenance mode", colEmits)
+	if res.Streamed != 0 {
+		t.Fatalf("provenance query streamed %d rows; it must take the collected path", res.Streamed)
 	}
-	if rowCount != 50 {
-		t.Fatalf("row callback delivered %d rows, want 50", rowCount)
+	if len(got) != 50 {
+		t.Fatalf("batch callback delivered %d rows, want 50", len(got))
+	}
+	seen := make(map[int64]bool, len(got))
+	for _, r := range got {
+		if len(r) != 2 || r[1].I64 < 0 || r[1].I64 >= 50 || seen[r[1].I64] {
+			t.Fatalf("row %v out of domain or duplicated", r)
+		}
+		seen[r[1].I64] = true
 	}
 }
 
@@ -123,7 +126,6 @@ func TestQueryLimitPushdown(t *testing.T) {
 	var got int
 	if _, err := c.QueryBatches(q, QueryOptions{},
 		func(*Result) error { return nil },
-		func(rows []tuple.Row) error { got += len(rows); return nil },
 		func(b *tuple.Batch) error { got += b.N; return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -132,34 +134,46 @@ func TestQueryLimitPushdown(t *testing.T) {
 	}
 }
 
-// TestQueryBatchesCacheHitEmitsRows: view-cache hits are stored as rows
-// and must replay through the row callback.
-func TestQueryBatchesCacheHitEmitsRows(t *testing.T) {
+// TestQueryBatchesCacheHitEmitsBatch: the view cache stores the answer
+// as an immutable batch, and a hit replays it through the same batch
+// callback — repeatedly, without the served copy going stale.
+func TestQueryBatchesCacheHitEmitsBatch(t *testing.T) {
 	c := newScanCluster(t, 100)
 	c.EnableQueryCache(16)
 	q := "SELECT k, v FROM bq WHERE v < 40"
-	start := func(*Result) error { return nil }
-	var rowsA, rowsB, colsA, colsB int
-	if _, err := c.QueryBatches(q, QueryOptions{},
-		start,
-		func(rows []tuple.Row) error { rowsA += len(rows); return nil },
-		func(b *tuple.Batch) error { colsA += b.N; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.QueryBatches(q, QueryOptions{},
-		start,
-		func(rows []tuple.Row) error { rowsB += len(rows); return nil },
-		func(b *tuple.Batch) error { colsB += b.N; return nil })
+	want, err := c.Query(q) // fills the cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cached {
-		t.Fatal("second query not served from cache")
+	if len(want.Rows) != 40 {
+		t.Fatalf("reference query: %d rows", len(want.Rows))
 	}
-	if rowsA+colsA != 40 || rowsB+colsB != 40 {
-		t.Fatalf("first run %d+%d rows, cached run %d+%d rows, want 40 each", rowsA, colsA, rowsB, colsB)
+	for run := 0; run < 3; run++ {
+		var got []tuple.Row
+		res, err := c.QueryBatches(q, QueryOptions{},
+			func(*Result) error { return nil },
+			func(b *tuple.Batch) error { got = append(got, b.Rows()...); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached {
+			t.Fatalf("run %d not served from cache", run)
+		}
+		if len(got) != len(want.Rows) {
+			t.Fatalf("run %d: cache hit emitted %d rows, want %d", run, len(got), len(want.Rows))
+		}
+		for i := range got {
+			if !got[i].Equal(want.Rows[i]) {
+				t.Fatalf("run %d row %d: %v, want %v", run, i, got[i], want.Rows[i])
+			}
+		}
 	}
-	if rowsB != 40 {
-		t.Fatalf("cache hit emitted %d rows via the row callback, want 40", rowsB)
+	// A hit through QueryOpts materializes its own rows from the batch.
+	hit, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || len(hit.Rows) != 40 {
+		t.Fatalf("QueryOpts hit: cached=%v, %d rows", hit.Cached, len(hit.Rows))
 	}
 }

@@ -343,11 +343,12 @@ func runQuery(ctx context.Context, node *cluster.Node, eng *engine.Engine, sqlTe
 	if err != nil {
 		return err
 	}
-	for _, r := range res.Rows {
+	rows := res.Rows()
+	for _, r := range rows {
 		fmt.Println(" ", r)
 	}
 	fmt.Printf("-- %d rows in %s (cost est %.6fs, epoch %d)\n",
-		len(res.Rows), time.Since(start).Round(time.Microsecond), info.Cost, res.Epoch)
+		len(rows), time.Since(start).Round(time.Microsecond), info.Cost, res.Epoch)
 	return nil
 }
 

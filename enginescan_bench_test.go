@@ -98,7 +98,6 @@ func TestEngineScanAllocBudget(t *testing.T) {
 			n := 0
 			res, err := c.QueryBatches(q, opts,
 				func(*Result) error { return nil },
-				func(rows []tuple.Row) error { n += len(rows); return nil },
 				func(b *tuple.Batch) error { n += b.N; return nil })
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -393,7 +394,7 @@ func TestPublishAdvancesGossipEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A publish from another node must claim a later epoch even without
-	// periodic gossip running: Next() pushes eagerly.
+	// periodic gossip running: the publish announces its epoch to peers.
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Node(1).Gossip().Current() < e1 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -404,6 +405,133 @@ func TestPublishAdvancesGossipEpoch(t *testing.T) {
 	}
 	if e2 <= e1 {
 		t.Errorf("second publish epoch %d <= first %d", e2, e1)
+	}
+}
+
+// TestFailedPublishLeavesEpoch: a publish claims its epoch without
+// exposing it, so one that fails (here a wrong-arity row rejected while
+// building pages) leaves Current() naming an epoch the catalog holds, and
+// the next publish still lands past everything seen.
+func TestFailedPublishLeavesEpoch(t *testing.T) {
+	l := testCluster(t, 3)
+	ctx := ctxT(t)
+	if err := l.Node(0).CreateRelation(ctx, rSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Node(0).Gossip().Current()
+	if _, err := l.Node(0).Publish(ctx, "R", []vstore.Update{insertRow("only-one-column")}); err == nil {
+		t.Fatal("wrong-arity publish succeeded")
+	}
+	if got := l.Node(0).Gossip().Current(); got != before {
+		t.Fatalf("failed publish moved Current() from %d to %d", before, got)
+	}
+	e, err := l.Node(0).Publish(ctx, "R", []vstore.Update{insertRow("a", "1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e <= before || l.Node(0).Gossip().Current() != e {
+		t.Fatalf("publish after failure: epoch %d, Current() %d, before %d", e, l.Node(0).Gossip().Current(), before)
+	}
+}
+
+// TestConcurrentPublishesClaimDistinctEpochs: publishes to different
+// relations on one node run concurrently; each must get its own epoch.
+func TestConcurrentPublishesClaimDistinctEpochs(t *testing.T) {
+	l := testCluster(t, 3)
+	ctx := ctxT(t)
+	const rels = 6
+	for i := 0; i < rels; i++ {
+		s, err := tuple.NewSchema(fmt.Sprintf("R%d", i),
+			[]tuple.Column{{Name: "x", Type: tuple.String}, {Name: "y", Type: tuple.String}}, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Node(0).CreateRelation(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := make(chan tuple.Epoch, rels)
+	errs := make(chan error, rels)
+	for i := 0; i < rels; i++ {
+		go func(i int) {
+			e, err := l.Node(0).Publish(ctx, fmt.Sprintf("R%d", i), []vstore.Update{insertRow("k", "v")})
+			errs <- err
+			epochs <- e
+		}(i)
+	}
+	seen := make(map[tuple.Epoch]bool)
+	for i := 0; i < rels; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		e := <-epochs
+		if seen[e] {
+			t.Fatalf("epoch %d claimed by two concurrent publishes", e)
+		}
+		seen[e] = true
+	}
+}
+
+// TestSharedEpochAcrossRelationsKeepsTuples: publishes on two nodes to
+// two relations whose keys overlap run concurrently without hearing of
+// each other's claims (gossip cut), so both take epoch 1. Each relation
+// must still read back exactly its own rows: tuple versions of different
+// relations are different records even at one key and epoch.
+func TestSharedEpochAcrossRelationsKeepsTuples(t *testing.T) {
+	l := testCluster(t, 3)
+	ctx := ctxT(t)
+	rels := []string{"R", "S"}
+	for _, rel := range rels {
+		s, err := tuple.NewSchema(rel,
+			[]tuple.Column{{Name: "x", Type: tuple.String}, {Name: "y", Type: tuple.String}}, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Node(0).CreateRelation(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		l.Node(i).Gossip().SetPeers(nil)
+	}
+	const rows = 40
+	epochs := make([]tuple.Epoch, len(rels))
+	errs := make([]error, len(rels))
+	var wg sync.WaitGroup
+	for i, rel := range rels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ups := make([]vstore.Update, rows)
+			for k := range ups {
+				ups[k] = insertRow(fmt.Sprintf("k%02d", k), rel)
+			}
+			epochs[i], errs[i] = l.Node(i).Publish(ctx, rel, ups)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("publish %s: %v", rels[i], err)
+		}
+	}
+	if epochs[0] != epochs[1] {
+		t.Fatalf("epochs %v: want both publishes at one epoch", epochs)
+	}
+	for _, rel := range rels {
+		got, err := l.Node(2).Retrieve(ctx, rel, epochs[0], AllPred())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := 0
+		for _, r := range got {
+			if r[1].Str != rel {
+				wrong++
+			}
+		}
+		if len(got) != rows || wrong != 0 {
+			t.Errorf("%s@%d: %d rows, %d of another relation; want %d of its own", rel, epochs[0], len(got), wrong, rows)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
@@ -93,13 +94,18 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 	if e, ok := cat.FindPub(opts.ID); ok {
 		return e, nil // duplicate of an already-applied publish
 	}
-	epoch := n.gsp.Next()
+	latest, hasLatest := cat.LatestEpoch()
+	// Claim the epoch without exposing it: Current() rises only once the
+	// catalog names the epoch (Announce below), so until then an unpinned
+	// query keeps reading the version it can see under the epoch that
+	// labels it, and a publish that fails leaves Current() where it was.
+	epoch := n.gsp.Next(latest)
 
 	var pages []vstore.Page
 	var writes []vstore.TupleWrite
 	var carried []vstore.PageRef // unchanged pages linked into the new version
 
-	if latest, ok := cat.LatestEpoch(); !ok {
+	if !hasLatest {
 		pages, writes, err = vstore.BuildInitialPages(cat.Schema, epoch, ups, n.cfg.MaxPageEntries)
 		if err != nil {
 			return 0, err
@@ -142,7 +148,7 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 		}
 		tuplePuts = append(tuplePuts, RecordPut{
 			Placement: w.ID.Hash(),
-			KVKey:     vstore.TupleKVKey(w.ID),
+			KVKey:     vstore.TupleVersionKey(relation, w.ID),
 			Value:     val,
 		})
 	}
@@ -193,7 +199,13 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 		vstore.CatalogKVKey(relation), vstore.EncodeCatalog(cat2)); err != nil {
 		return 0, fmt.Errorf("cluster: publish catalog: %w", err)
 	}
-	n.gsp.Advance(epoch)
+	// Only now, with the catalog naming the epoch, does it become the
+	// current epoch, here and at the peers it is announced to. The wait
+	// for their acknowledgements is short: a peer that does not answer in
+	// time learns the epoch through periodic gossip.
+	actx, cancel := context.WithTimeout(ctx, min(n.cfg.RequestTimeout, announceWait))
+	n.gsp.Announce(actx, epoch)
+	cancel()
 	// The epoch advance is part of the publish's acknowledgement: on a
 	// durable store it must survive a crash, or a restarted node would
 	// gossip an old epoch while the catalog already names this one. The
@@ -204,6 +216,10 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 	}
 	return epoch, nil
 }
+
+// announceWait bounds how long a publish waits for its peers to
+// acknowledge the new epoch.
+const announceWait = 100 * time.Millisecond
 
 // relationLock returns the per-relation publish lock.
 func (n *Node) relationLock(relation string) *sync.Mutex {

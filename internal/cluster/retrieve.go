@@ -129,9 +129,10 @@ func decodeScanPageReq(data []byte) (scanPageReq, error) {
 	return r, nil
 }
 
-func encodeFetchFwd(scanID uint64, requester ring.NodeID, ids []tuple.ID) []byte {
+func encodeFetchFwd(scanID uint64, requester ring.NodeID, relation string, ids []tuple.ID) []byte {
 	out := binary.BigEndian.AppendUint64(nil, scanID)
 	out = appendBytes(out, []byte(requester))
+	out = appendBytes(out, []byte(relation))
 	out = binary.AppendUvarint(out, uint64(len(ids)))
 	for _, id := range ids {
 		out = binary.BigEndian.AppendUint64(out, uint64(id.Epoch))
@@ -140,36 +141,41 @@ func encodeFetchFwd(scanID uint64, requester ring.NodeID, ids []tuple.ID) []byte
 	return out
 }
 
-func decodeFetchFwd(data []byte) (scanID uint64, requester ring.NodeID, ids []tuple.ID, err error) {
+func decodeFetchFwd(data []byte) (scanID uint64, requester ring.NodeID, relation string, ids []tuple.ID, err error) {
 	if len(data) < 8 {
-		return 0, "", nil, errors.New("cluster: short fetch forward")
+		return 0, "", "", nil, errors.New("cluster: short fetch forward")
 	}
 	scanID = binary.BigEndian.Uint64(data)
 	rest := data[8:]
 	req, rest, err := readBytes(rest)
 	if err != nil {
-		return 0, "", nil, err
+		return 0, "", "", nil, err
 	}
 	requester = ring.NodeID(req)
+	rel, rest, err := readBytes(rest)
+	if err != nil {
+		return 0, "", "", nil, err
+	}
+	relation = string(rel)
 	count, n := binary.Uvarint(rest)
 	if n <= 0 || count > 1<<26 {
-		return 0, "", nil, errors.New("cluster: bad fetch count")
+		return 0, "", "", nil, errors.New("cluster: bad fetch count")
 	}
 	rest = rest[n:]
 	for i := uint64(0); i < count; i++ {
 		if len(rest) < 8 {
-			return 0, "", nil, errors.New("cluster: truncated fetch id")
+			return 0, "", "", nil, errors.New("cluster: truncated fetch id")
 		}
 		e := tuple.Epoch(binary.BigEndian.Uint64(rest))
 		rest = rest[8:]
 		var k []byte
 		k, rest, err = readBytes(rest)
 		if err != nil {
-			return 0, "", nil, err
+			return 0, "", "", nil, err
 		}
 		ids = append(ids, tuple.ID{Key: string(k), Epoch: e})
 	}
-	return scanID, requester, ids, nil
+	return scanID, requester, relation, ids, nil
 }
 
 func encodeScanResult(scanID uint64, values [][]byte) []byte {
@@ -240,13 +246,13 @@ func (n *Node) registerScanHandlers() {
 
 // serveFetch is the data-storage-node half of Algorithm 1.
 func (n *Node) serveFetch(payload []byte) {
-	scanID, requester, ids, err := decodeFetchFwd(payload)
+	scanID, requester, relation, ids, err := decodeFetchFwd(payload)
 	if err != nil {
 		return
 	}
 	values := make([][]byte, 0, len(ids))
 	for _, id := range ids {
-		kvKey := vstore.TupleKVKey(id)
+		kvKey := vstore.TupleVersionKey(relation, id)
 		if v, ok := n.store.Get(kvKey); ok {
 			values = append(values, v)
 			continue
@@ -401,7 +407,7 @@ func (n *Node) scanPageImpl(payload []byte) ([]byte, error) {
 		byOwner[owner] = append(byOwner[owner], id)
 	}
 	for owner, ids := range byOwner {
-		fwd := encodeFetchFwd(r.ScanID, r.Requester, ids)
+		fwd := encodeFetchFwd(r.ScanID, r.Requester, page.Ref.ID.Relation, ids)
 		if owner == n.id {
 			// Colocated: serve directly without a network hop.
 			go n.serveFetch(fwd)

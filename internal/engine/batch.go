@@ -1,21 +1,19 @@
 package engine
 
-// Column-major batch flow through the operator pipeline. The scan leaf
-// decodes tuple records straight into tuple.Batch column vectors; the
-// stateless row-shaping operators (select, project, compute's input edge)
-// process whole batches — compiled predicates evaluate into a selection
-// Bitset and the batch compacts in place, projection rearranges column
-// headers in O(arity) — and the ship operator forwards batches columnar
-// to the initiator's collection accumulator, so a plain scan query never
-// materializes rows anywhere. The first sink that is not batch-aware
-// receives the rows materialized from one backing slab. Stateful
-// operators (join, aggregate, exchange) keep their per-row form: their
-// semantics (provenance unions, sub-group bookkeeping, destination
-// batching) are row-granular by design.
-//
-// Batches flow only in no-provenance mode wholesale: with provenance on,
-// each scanned tuple carries its own mutable Prov bitset (origin node plus
-// the requesting index node), so the scan uses the row path there.
+// One answer form. The scan leaf decodes tuple records straight into
+// tuple.Batch column vectors; the stateless row-shaping operators
+// (select, project) process whole batches — compiled predicates evaluate
+// into a selection Bitset and the batch compacts in place, projection
+// rearranges column headers in O(arity). From the ship exchange on, every
+// answer is a tuple.Batch: the ship producer appends whatever reaches it
+// — batches, or rows from the stateful operators (join, aggregate,
+// exchange, compute) and the provenance scan, which keep their per-row
+// form upstream — into one pending batch, the initiator decodes
+// shipments into one columnar accumulator, the final pipeline
+// (sort/limit/compute/aggregate merge) runs on column vectors, and the
+// server encodes wire frames straight from them. Provenance travels
+// beside a batch as a []Prov side vector, one set per row (nil without
+// provenance).
 
 import (
 	"sync"
@@ -23,12 +21,11 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// colBatch is a columnar batch annotated with the engine metadata every
-// row of the batch shares.
+// colBatch is a columnar batch annotated with the phase every row of the
+// batch shares.
 type colBatch struct {
 	cols  tuple.Batch
 	phase uint32
-	prov  Prov // per-row prototype, cloned at materialization; nil = none
 }
 
 // batchSink is implemented by operators that can consume columnar batches
@@ -40,17 +37,15 @@ type batchSink interface {
 	pushCols(cb *colBatch)
 }
 
-// materialize converts the batch into engine tuples: all rows are carved
-// from a single backing slab (tuple.Batch.Rows), so the per-row cost is a
-// value copy, not an allocation.
+// materialize converts the batch into engine tuples for a row-form
+// operator: all rows are carved from a single backing slab
+// (tuple.Batch.Rows), so the per-row cost is a value copy, not an
+// allocation.
 func (cb *colBatch) materialize() []Tup {
 	rows := cb.cols.Rows()
 	ts := make([]Tup, len(rows))
 	for i, row := range rows {
 		ts[i] = Tup{Row: row, Phase: cb.phase}
-		if cb.prov != nil {
-			ts[i].Prov = cb.prov.Clone()
-		}
 	}
 	return ts
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,8 +96,8 @@ func (h *harness) check(p *Plan, res *Result) {
 	if err != nil {
 		h.t.Fatalf("refEval: %v", err)
 	}
-	if !rowsEqual(res.Rows, want) {
-		h.t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Rows(), want) {
+		h.t.Fatalf("wrong answer: %s", diffSummary(res.Rows(), want))
 	}
 }
 
@@ -150,8 +151,8 @@ func TestCopyQuery(t *testing.T) {
 
 	p := &Plan{Root: &ScanNode{Relation: "R"}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 500 {
-		t.Fatalf("got %d rows, want 500", len(res.Rows))
+	if len(res.Rows()) != 500 {
+		t.Fatalf("got %d rows, want 500", len(res.Rows()))
 	}
 	if res.Phases != 1 {
 		t.Fatalf("phases = %d, want 1", res.Phases)
@@ -171,7 +172,7 @@ func TestCoveringIndexScan(t *testing.T) {
 	h.publish("R", genR(300, rand.New(rand.NewSource(3))))
 	p := &Plan{Root: &ScanNode{Relation: "R", Covering: true}}
 	res := h.run(p, Options{})
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if len(r) != 1 {
 			t.Fatalf("covering scan row has arity %d, want 1", len(r))
 		}
@@ -186,8 +187,8 @@ func TestSargablePredicate(t *testing.T) {
 	pred := cluster.EqPred(schemaR(), tuple.I(42))
 	p := &Plan{Root: &ScanNode{Relation: "R", Pred: KeyPredOf(pred)}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(res.Rows))
+	if len(res.Rows()) != 1 {
+		t.Fatalf("got %d rows, want 1", len(res.Rows()))
 	}
 }
 
@@ -228,6 +229,58 @@ func TestJoinWithRehash(t *testing.T) {
 		Right:     &RehashNode{Keys: []int{0}, Child: &ScanNode{Relation: "S"}},
 	}}
 	h.run(p, Options{})
+}
+
+// TestJoinAcrossSharedEpoch: R and S, whose keys overlap, are published
+// concurrently from two nodes that cannot hear each other's epoch claims,
+// so both land at one epoch. The distributed scan must still read each
+// relation's own tuple versions.
+func TestJoinAcrossSharedEpoch(t *testing.T) {
+	h := newHarness(t, 4)
+	h.create(schemaR())
+	h.create(schemaS())
+	for _, node := range h.local.Nodes() {
+		node.Gossip().SetPeers(nil)
+	}
+	rng := rand.New(rand.NewSource(6))
+	data := map[string][]tuple.Row{"R": genR(300, rng), "S": genS(80, rng)}
+	epochs := make(map[string]tuple.Epoch)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i, rel := range []string{"R", "S"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ups := make([]vstore.Update, len(data[rel]))
+			for k, r := range data[rel] {
+				ups[k] = vstore.Update{Op: vstore.OpInsert, Row: r}
+			}
+			e, err := h.local.Node(i).Publish(h.ctx(), rel, ups)
+			if err != nil {
+				t.Errorf("Publish(%s): %v", rel, err)
+			}
+			mu.Lock()
+			epochs[rel] = e
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if epochs["R"] != epochs["S"] {
+		t.Fatalf("epochs %v: want one shared epoch", epochs)
+	}
+	h.data = data
+	p := &Plan{Root: &JoinNode{
+		LeftKeys:  []int{1},
+		RightKeys: []int{0},
+		Left:      &RehashNode{Keys: []int{1}, Child: &ScanNode{Relation: "R"}},
+		Right:     &RehashNode{Keys: []int{0}, Child: &ScanNode{Relation: "S"}},
+	}}
+	for i := range h.engines {
+		h.runFrom(i, p, Options{Epoch: epochs["R"]})
+	}
 }
 
 func TestThreeWayJoin(t *testing.T) {
@@ -286,8 +339,8 @@ func TestAggregatePartialWithFinalMerge(t *testing.T) {
 	}
 	// Reference: complete aggregation over S grouped by z.
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Rows(), want))
 	}
 }
 
@@ -328,8 +381,8 @@ func TestAggregateCompleteAfterRehash(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Rows(), want))
 	}
 }
 
@@ -367,8 +420,8 @@ func TestJoinThenAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := refAggregate([]int{0}, specs, joined)
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Rows(), want))
 	}
 }
 
@@ -387,16 +440,16 @@ func TestFinalSortAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("limit: got %d rows", len(res.Rows))
+	if len(res.Rows()) != 10 {
+		t.Fatalf("limit: got %d rows", len(res.Rows()))
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].AsInt() < res.Rows[i][0].AsInt() {
+	for i := 1; i < len(res.Rows()); i++ {
+		if res.Rows()[i-1][0].AsInt() < res.Rows()[i][0].AsInt() {
 			t.Fatalf("rows not descending at %d", i)
 		}
 	}
-	if res.Rows[0][0].AsInt() != 99 {
-		t.Fatalf("top row key = %d, want 99", res.Rows[0][0].AsInt())
+	if res.Rows()[0][0].AsInt() != 99 {
+		t.Fatalf("top row key = %d, want 99", res.Rows()[0][0].AsInt())
 	}
 }
 
@@ -444,8 +497,8 @@ func TestVersionedSnapshotQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run@e1: %v", err)
 	}
-	if !rowsEqual(res1.Rows, stateAtE1) {
-		t.Fatalf("snapshot at e1: %s", diffSummary(res1.Rows, stateAtE1))
+	if !rowsEqual(res1.Rows(), stateAtE1) {
+		t.Fatalf("snapshot at e1: %s", diffSummary(res1.Rows(), stateAtE1))
 	}
 
 	// Query at e2 must see the new state, never the stale version of key 2.
@@ -458,8 +511,8 @@ func TestVersionedSnapshotQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run@e2: %v", err)
 	}
-	if !rowsEqual(res2.Rows, want2) {
-		t.Fatalf("snapshot at e2: %s", diffSummary(res2.Rows, want2))
+	if !rowsEqual(res2.Rows(), want2) {
+		t.Fatalf("snapshot at e2: %s", diffSummary(res2.Rows(), want2))
 	}
 }
 
@@ -468,8 +521,8 @@ func TestEmptyRelation(t *testing.T) {
 	h.create(schemaR())
 	p := &Plan{Root: &ScanNode{Relation: "R"}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 0 {
-		t.Fatalf("got %d rows from empty relation", len(res.Rows))
+	if len(res.Rows()) != 0 {
+		t.Fatalf("got %d rows from empty relation", len(res.Rows()))
 	}
 }
 
@@ -734,8 +787,8 @@ func TestRecoveryWithAggregation(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("aggregate after recovery: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Rows(), want) {
+		t.Fatalf("aggregate after recovery: %s", diffSummary(res.Rows(), want))
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -18,113 +19,176 @@ const flushRows = 1024
 
 // --- batch wire codec ---
 //
-// Batches carry the rows (columnar, compressed — tuple.EncodeBatch), the
-// execution phase, and a dictionary-coded provenance column: distinct
-// provenance sets are listed once, each row referencing its set by index.
-// This keeps the provenance overhead to roughly one byte per tuple, which
-// is how the paper achieves its ≤2% traffic overhead for recovery support.
+// Every exchange block — rehash and ship alike — is a head followed by a
+// columnar, compressed batch body (tuple batch format). The head carries
+// the execution phase, a provenance flag, and, when provenance is on, a
+// dictionary-coded provenance column: distinct provenance sets are listed
+// once, each row referencing its set by index. This keeps the provenance
+// overhead to roughly one byte per tuple, which is how the paper achieves
+// its ≤2% traffic overhead for recovery support. A ship block whose flag
+// reads headFailed carries, instead of rows, the error of a fragment that
+// could not ship its output; it fails the query.
 
-func encodeTupBatch(ts []Tup, phase uint32, withProv bool) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, phase)
-	if withProv {
-		out = append(out, 1)
-		dict := make(map[string]int)
-		var keys []string
-		idxs := make([]int, len(ts))
-		for i, t := range ts {
-			k := t.Prov.Key()
-			id, ok := dict[k]
-			if !ok {
-				id = len(keys)
-				dict[k] = id
-				keys = append(keys, k)
-			}
-			idxs[i] = id
-		}
-		out = binary.AppendUvarint(out, uint64(len(keys)))
-		for _, k := range keys {
-			out = binary.AppendUvarint(out, uint64(len(k)))
-			out = append(out, k...)
-		}
-		out = binary.AppendUvarint(out, uint64(len(idxs)))
-		for _, id := range idxs {
-			out = binary.AppendUvarint(out, uint64(id))
-		}
-	} else {
-		out = append(out, 0)
-	}
-	rows := make([]tuple.Row, len(ts))
-	for i, t := range ts {
-		rows[i] = t.Row
-	}
-	body, err := tuple.EncodeBatch(rows)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, body...), nil
+const headFailed = 2
+
+// appendFailedHead appends a ship block reporting a fragment's failure.
+func appendFailedHead(dst []byte, phase uint32, err error) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, phase)
+	dst = append(dst, headFailed)
+	dst = binary.AppendUvarint(dst, uint64(len(err.Error())))
+	return append(dst, err.Error()...)
 }
 
-func decodeTupBatch(data []byte) ([]Tup, uint32, error) {
+// appendBatchHead appends a block head: phase, provenance flag and, with
+// provenance, the dictionary-coded column over provs (one set per row).
+func appendBatchHead(dst []byte, phase uint32, withProv bool, provs []Prov) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, phase)
+	if !withProv {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dict := make(map[string]int)
+	var keys []string
+	idxs := make([]int, len(provs))
+	for i, p := range provs {
+		k := p.Key()
+		id, ok := dict[k]
+		if !ok {
+			id = len(keys)
+			dict[k] = id
+			keys = append(keys, k)
+		}
+		idxs[i] = id
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(idxs)))
+	for _, id := range idxs {
+		dst = binary.AppendUvarint(dst, uint64(id))
+	}
+	return dst
+}
+
+// decodeBatchHead reverses appendBatchHead and returns the batch body
+// that follows the head. provs is nil exactly when the block carries no
+// provenance column; rows referencing one dictionary entry share its
+// set, so a caller that mutates a row's set must clone it first.
+func decodeBatchHead(data []byte) (phase uint32, provs []Prov, body []byte, err error) {
 	if len(data) < 5 {
-		return nil, 0, errors.New("engine: short batch")
+		return 0, nil, nil, errors.New("engine: short batch")
 	}
-	phase := binary.BigEndian.Uint32(data)
-	withProv := data[4] == 1
+	phase = binary.BigEndian.Uint32(data)
 	off := 5
+	switch data[4] {
+	case 0:
+		return phase, nil, data[off:], nil
+	case headFailed:
+		l, n := binary.Uvarint(data[off:])
+		if n <= 0 || l > uint64(len(data)-off-n) {
+			return 0, nil, nil, errors.New("engine: bad failure report")
+		}
+		return 0, nil, nil, fmt.Errorf("engine: fragment failed: %s", data[off+n:off+n+int(l)])
+	case 1:
+	default:
+		return 0, nil, nil, fmt.Errorf("engine: bad block flag %d", data[4])
+	}
+	nDict, n := binary.Uvarint(data[off:])
+	if n <= 0 || nDict > 1<<20 {
+		return 0, nil, nil, errors.New("engine: bad prov dict")
+	}
+	off += n
+	dict := make([]Prov, nDict)
+	for i := range dict {
+		l, n := binary.Uvarint(data[off:])
+		if n <= 0 || l > uint64(len(data)-off-n) {
+			return 0, nil, nil, errors.New("engine: bad prov entry")
+		}
+		off += n
+		dict[i] = ProvFromKey(string(data[off : off+int(l)]))
+		off += int(l)
+	}
+	nIdx, n := binary.Uvarint(data[off:])
+	if n <= 0 || nIdx > 1<<28 || nIdx > uint64(len(data)-off) {
+		return 0, nil, nil, errors.New("engine: bad prov index count")
+	}
+	off += n
+	provs = make([]Prov, nIdx)
+	for i := range provs {
+		id, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, nil, nil, errors.New("engine: bad prov index")
+		}
+		if id >= nDict {
+			return 0, nil, nil, errors.New("engine: prov index out of range")
+		}
+		provs[i] = dict[id]
+		off += n
+	}
+	return phase, provs, data[off:], nil
+}
+
+// encodeTupBatch encodes row-form tuples as one exchange block (the
+// rehash exchange's sending form).
+func encodeTupBatch(ts []Tup, phase uint32, withProv bool) ([]byte, error) {
+	rows := make([]tuple.Row, len(ts))
 	var provs []Prov
-	var idxs []uint64
 	if withProv {
-		nDict, n := binary.Uvarint(data[off:])
-		if n <= 0 || nDict > 1<<20 {
-			return nil, 0, errors.New("engine: bad prov dict")
-		}
-		off += n
-		provs = make([]Prov, nDict)
-		for i := range provs {
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(l) > len(data) {
-				return nil, 0, errors.New("engine: bad prov entry")
-			}
-			off += n
-			provs[i] = ProvFromKey(string(data[off : off+int(l)]))
-			off += int(l)
+		provs = make([]Prov, len(ts))
+	}
+	for i, t := range ts {
+		rows[i] = t.Row
+		if withProv {
+			provs[i] = t.Prov
 		}
 	}
-	if withProv {
-		nIdx, n := binary.Uvarint(data[off:])
-		if n <= 0 || nIdx > 1<<28 {
-			return nil, 0, errors.New("engine: bad prov index count")
-		}
-		off += n
-		idxs = make([]uint64, nIdx)
-		for i := range idxs {
-			v, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, 0, errors.New("engine: bad prov index")
-			}
-			idxs[i] = v
-			off += n
-		}
-	}
-	rows, err := tuple.DecodeBatch(data[off:])
+	return tuple.AppendBatch(appendBatchHead(nil, phase, withProv, provs), rows, shipCompressMin)
+}
+
+// decodeTupBatch decodes an exchange block into tuples, each with its own
+// copy of its provenance set (the rehash consumer stamps sets in place).
+func decodeTupBatch(data []byte) ([]Tup, uint32, error) {
+	phase, provs, body, err := decodeBatchHead(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	if withProv && len(idxs) != len(rows) {
+	rows, err := tuple.DecodeBatch(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	if provs != nil && len(provs) != len(rows) {
 		return nil, 0, errors.New("engine: prov index count mismatch")
 	}
 	ts := make([]Tup, len(rows))
 	for i, r := range rows {
 		ts[i] = Tup{Row: r, Phase: phase}
-		if withProv {
-			id := idxs[i]
-			if id >= uint64(len(provs)) {
-				return nil, 0, errors.New("engine: prov index out of range")
-			}
-			ts[i].Prov = provs[id].Clone()
+		if provs != nil {
+			ts[i].Prov = provs[i].Clone()
 		}
 	}
 	return ts, phase, nil
+}
+
+// decodeShipBatch decodes a ship block onto b (appending, columnar) and
+// returns its phase and provenance column (nil without provenance) —
+// the initiator's decode. On error b keeps its prior rows.
+func decodeShipBatch(data []byte, b *tuple.Batch) (uint32, []Prov, error) {
+	phase, provs, body, err := decodeBatchHead(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	start := b.N
+	n, err := tuple.DecodeBatchInto(body, b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if provs != nil && len(provs) != n {
+		b.Truncate(start)
+		return 0, nil, errors.New("engine: prov index count mismatch")
+	}
+	return phase, provs, nil
 }
 
 // --- exchange producer (rehash) ---
@@ -324,86 +388,137 @@ func (c *exchConsumer) completeLocked() (bool, uint32) {
 // --- ship ---
 
 // shipProducer sends final fragment output to the query initiator
-// (Table I, ship). It is batch-aware: columnar batches from the operator
-// pipeline stay columnar — on the initiator's own node they hand over to
-// the ship consumer directly (which appends their vectors into its
-// columnar accumulator), remotely they coalesce into a pending batch and
-// ship batch-encoded. Row pushes (provenance mode, covering scans,
-// stateful operators) keep the original path.
+// (Table I, ship). Everything it sends is columnar: operator batches
+// append into one pending batch, and a row push — a stateful operator,
+// the provenance scan, the replica fallback — is appended to that batch
+// once, here at the boundary. Provenance rides beside the batch as a
+// side vector (nil without provenance). The pending batch ships at
+// flushRows rows — at once on the initiator's own node, where shipping
+// is a hand-off — and top-K mode holds the whole fragment output for eos.
 type shipProducer struct {
 	ex *executor
 
 	mu      sync.Mutex
-	pending []Tup
-	cols    *tuple.Batch // remote coalescing; nil until first columnar push
-	spare   *tuple.Batch // recycled after a flush to keep vector capacity
+	pending *tuple.Batch // rows accumulated toward the next shipment
+	prov    []Prov       // pending's provenance column; nil without provenance
+	spare   *tuple.Batch // recycled after a send to keep vector capacity
+	failed  bool         // output could not be shipped; the initiator was told
+}
+
+// shipment is one block cut off the producer for sending.
+type shipment struct {
+	b    *tuple.Batch
+	prov []Prov
 }
 
 func (s *shipProducer) push(ts []Tup) {
-	var flush []Tup
 	s.mu.Lock()
-	s.pending = append(s.pending, ts...)
-	// Top-K mode buffers the whole fragment output: nothing ships until
-	// eos sorts and truncates it to the local top K.
-	if s.ex.mode != shipTopK && len(s.pending) >= flushRows {
-		flush = s.pending
-		s.pending = nil
+	var out []shipment
+	var err error
+	for _, t := range ts {
+		if s.failed {
+			break
+		}
+		if !rowFits(s.pending, t.Row) {
+			// A batch column holds one type; the plan fixes the types, so
+			// a row of another shape can only open a new batch.
+			if out, err = s.reshapeLocked(out); err != nil {
+				break
+			}
+			s.pending.ResetTypes(rowTypes(t.Row))
+			if !rowFits(s.pending, t.Row) {
+				s.failed = true
+				err = errors.New("engine: ship: row holds an invalid value")
+				break
+			}
+		}
+		if err = s.pending.AppendRow(t.Row); err != nil {
+			s.failed = true
+			break
+		}
+		if s.ex.opts.Provenance {
+			s.prov = append(s.prov, t.Prov)
+		}
 	}
+	out = s.dueLocked(out)
 	s.mu.Unlock()
-	if flush != nil {
-		s.ex.sendShipBatch(flush)
+	s.send(out)
+	if err != nil {
+		s.ex.sendShipFailure(err)
 	}
 }
 
-// pushCols receives a columnar batch from the operator pipeline. The
-// batch is borrowed (pushCols contract): loopback hand-off copies it into
-// the consumer's accumulator before returning; the remote path copies it
-// into the pending coalescing batch.
+// pushCols receives a columnar batch from the operator pipeline (never
+// under provenance: the scan emits rows then). The batch is borrowed
+// (pushCols contract): on the initiator's own node it goes straight to
+// the ship consumer, which copies it into its accumulator; otherwise it
+// is copied into the pending batch.
 func (s *shipProducer) pushCols(cb *colBatch) {
-	if cb.prov != nil {
-		s.push(cb.materialize())
-		return
-	}
-	if s.ex.mode == shipTopK {
-		// Buffer locally (even on the initiator's own fragment): the
-		// whole fragment output is sorted and truncated to K at eos
-		// before anything ships.
-		s.mu.Lock()
-		if s.cols == nil {
-			s.cols = &tuple.Batch{}
-		}
-		err := s.cols.AppendBatchInto(&cb.cols)
-		s.mu.Unlock()
-		if err != nil {
-			s.push(cb.materialize()) // shape mismatch: degrade to rows
-		}
-		return
-	}
-	if s.ex.initiator == s.ex.self() {
-		s.ex.sendShipCols(&cb.cols)
+	if s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
+		s.ex.sendShipCols(&cb.cols, nil)
 		return
 	}
 	s.mu.Lock()
-	if s.cols == nil {
-		s.cols = &tuple.Batch{}
+	var out []shipment
+	var err error
+	if !s.failed && s.pending.AppendBatchInto(&cb.cols) != nil {
+		if out, err = s.reshapeLocked(out); err == nil {
+			s.pending.ResetTypes(nil) // an untyped empty batch adopts any shape
+			if err = s.pending.AppendBatchInto(&cb.cols); err != nil {
+				s.failed = true
+			}
+		}
 	}
-	if err := s.cols.AppendBatchInto(&cb.cols); err != nil {
-		s.mu.Unlock()
-		s.push(cb.materialize()) // shape mismatch: degrade to rows
-		return
-	}
-	var flush *tuple.Batch
-	if s.cols.N >= flushRows {
-		flush, s.cols = s.cols, s.spare
-		s.spare = nil
-	}
+	out = s.dueLocked(out)
 	s.mu.Unlock()
-	if flush != nil {
-		s.ex.sendShipCols(flush)
-		flush.Truncate(0)
+	s.send(out)
+	if err != nil {
+		s.ex.sendShipFailure(err)
+	}
+}
+
+// reshapeLocked cuts the pending batch so that one of another shape can
+// start. Top-K mode holds the fragment's output as one run that is
+// sorted at eos, and the initiator merges each fragment's run as sorted:
+// a second shape there would break that run, so it fails the fragment.
+func (s *shipProducer) reshapeLocked(out []shipment) ([]shipment, error) {
+	if s.ex.mode == shipTopK && s.pending.N > 0 {
+		s.failed = true
+		return out, errors.New("engine: top-K fragment output changed shape")
+	}
+	return s.cutLocked(out), nil
+}
+
+// cutLocked moves the pending rows, if any, onto out as a shipment and
+// starts a fresh pending batch.
+func (s *shipProducer) cutLocked(out []shipment) []shipment {
+	if s.pending.N == 0 {
+		return out
+	}
+	out = append(out, shipment{b: s.pending, prov: s.prov})
+	s.pending, s.spare, s.prov = s.spare, nil, nil
+	if s.pending == nil {
+		s.pending = &tuple.Batch{}
+	}
+	return out
+}
+
+// dueLocked cuts the pending batch when it is due to ship.
+func (s *shipProducer) dueLocked(out []shipment) []shipment {
+	if s.ex.mode != shipTopK && (s.pending.N >= flushRows || s.ex.initiator == s.ex.self()) {
+		return s.cutLocked(out)
+	}
+	return out
+}
+
+// send ships cut blocks and keeps one emptied batch as the next spare.
+func (s *shipProducer) send(out []shipment) {
+	for _, sh := range out {
+		s.ex.sendShipCols(sh.b, sh.prov)
+		sh.b.Truncate(0)
 		s.mu.Lock()
 		if s.spare == nil {
-			s.spare = flush
+			s.spare = sh.b
 		}
 		s.mu.Unlock()
 	}
@@ -411,68 +526,82 @@ func (s *shipProducer) pushCols(cb *colBatch) {
 
 func (s *shipProducer) eos(phase uint32) {
 	s.mu.Lock()
-	flush := s.pending
-	s.pending = nil
-	flushCols := s.cols
-	s.cols = nil
+	var out []shipment
+	if !s.failed {
+		out = s.cutLocked(nil)
+	}
 	s.mu.Unlock()
 	if s.ex.mode == shipTopK {
-		s.eosTopK(phase, flush, flushCols)
-		return
-	}
-	if flushCols != nil && flushCols.N > 0 {
-		s.ex.sendShipCols(flushCols)
-	}
-	if len(flush) > 0 {
-		s.ex.sendShipBatch(flush)
+		for _, sh := range out {
+			s.shipTopK(sh.b)
+		}
+	} else {
+		s.send(out)
 	}
 	s.ex.sendShipEOS(phase)
 }
 
-// eosTopK is the fragment half of the top-K pushdown: sort the buffered
+// shipTopK is the fragment half of the top-K pushdown: sort the buffered
 // fragment output with the plan's compiled comparators, truncate to the
 // merged row budget K, and ship only that — at most K rows per fragment
 // reach the initiator. Chunked shipments of one sorted run stay ordered
 // end to end (per-link FIFO), so the initiator's per-source run is
 // sorted by construction.
-func (s *shipProducer) eosTopK(phase uint32, rows []Tup, cols *tuple.Batch) {
+func (s *shipProducer) shipTopK(b *tuple.Batch) {
 	keys, k := topKParams(s.ex.plan)
-	switch {
-	case len(rows) == 0 && cols != nil && cols.N > 0:
-		sortCols(cols, keys)
-		if cols.N > k {
-			cols.Truncate(k)
-		}
-		var span tuple.Batch
-		for lo := 0; lo < cols.N; lo += flushRows {
-			hi := lo + flushRows
-			if hi > cols.N {
-				hi = cols.N
-			}
-			cols.Slice(lo, hi, &span)
-			s.ex.sendShipCols(&span)
-		}
-	case len(rows) > 0:
-		if cols != nil && cols.N > 0 {
-			// Mixed buffering (a mid-stream shape degrade): fold the
-			// columnar part into the row form and sort once.
-			for _, r := range cols.Rows() {
-				rows = append(rows, Tup{Row: r, Phase: phase})
-			}
-		}
-		sortTups(rows, keys)
-		if len(rows) > k {
-			rows = rows[:k]
-		}
-		for lo := 0; lo < len(rows); lo += flushRows {
-			hi := lo + flushRows
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			s.ex.sendShipBatch(rows[lo:hi])
+	sortCols(b, keys)
+	if b.N > k {
+		b.Truncate(k)
+	}
+	var span tuple.Batch
+	for lo := 0; lo < b.N; lo += flushRows {
+		b.Slice(lo, min(lo+flushRows, b.N), &span)
+		s.ex.sendShipCols(&span, nil)
+	}
+}
+
+// rowFits reports whether row's values are valid and match the batch's
+// column types.
+func rowFits(b *tuple.Batch, row tuple.Row) bool {
+	if len(row) != len(b.Cols) {
+		return false
+	}
+	for i := range row {
+		if row[i].T != b.Cols[i].T || !row[i].IsValid() {
+			return false
 		}
 	}
-	s.ex.sendShipEOS(phase)
+	return true
+}
+
+func rowTypes(row tuple.Row) []tuple.Type {
+	ts := make([]tuple.Type, len(row))
+	for i, v := range row {
+		ts[i] = v.T
+	}
+	return ts
+}
+
+// dropTainted removes the rows whose provenance intersects failed,
+// compacting the batch and its provenance column together, and returns
+// the surviving column.
+func dropTainted(b *tuple.Batch, provs []Prov, failed Prov) []Prov {
+	if failed.Count() == 0 {
+		return provs
+	}
+	sel := NewBitset(b.N)
+	kept := provs[:0]
+	for i, p := range provs {
+		if !p.Intersects(failed) {
+			sel.Set(i)
+			kept = append(kept, p)
+		}
+	}
+	if len(kept) < b.N {
+		b.CompactWords(sel)
+	}
+	clear(provs[len(kept):])
+	return kept
 }
 
 // shipConsumer collects results at the initiator, purging tainted rows on
@@ -485,8 +614,8 @@ type shipConsumer struct {
 	ex *executor
 
 	mu         sync.Mutex
-	rows       []Tup
-	cols       *tuple.Batch // columnar accumulator (non-provenance batches)
+	cols       *tuple.Batch // the collected answer
+	prov       []Prov       // cols' provenance column (provenance mode only)
 	limit      int          // limit-only final pipeline: stop at N rows (-1: none)
 	sealed     bool         // accepted completion: drop late arrivals
 	eosFrom    map[uint32]map[ring.NodeID]bool
@@ -494,19 +623,17 @@ type shipConsumer struct {
 	spanBy     map[ring.NodeID]*obs.Span // remote fragment traces (last report wins)
 	firedPhase map[uint32]bool
 	completeCh chan uint32
+	failed     chan error // the first failure (sink error, bad shipment) for the run loop
 
 	// Top-K pushdown (shipTopK): one sorted run per source node, kept
-	// separate for the K-way merge at seal. A per-source shape degrade
-	// lands that source's rows in runsRows instead.
-	runsCols map[ring.NodeID]*tuple.Batch
-	runsRows map[ring.NodeID][]Tup
+	// separate for the K-way merge at seal.
+	runs map[ring.NodeID]*tuple.Batch
 
 	// Partial-agg pushdown (shipAggMerge): arriving partial rows fold
 	// straight into the merge accumulator — initiator memory is
 	// O(groups), not O(shipped partials).
 	agg        *finalAggAcc
 	aggScratch tuple.Row
-	aggRecv    int64 // partial rows folded (trace accounting)
 
 	// Streamed emission (shipStream with a sink): receive never blocks —
 	// it appends as before and nudges the drainer goroutine, which swaps
@@ -518,7 +645,6 @@ type shipConsumer struct {
 	stopDrain chan struct{}
 	drainDone chan struct{}
 	stopOnce  sync.Once
-	sinkFail  chan error
 	streamed  atomic.Int64
 	peak      int // high-water mark of rows buffered while streaming
 }
@@ -532,7 +658,19 @@ func newShipConsumer(ex *executor) *shipConsumer {
 		statsBy:    make(map[ring.NodeID]NodeStats),
 		firedPhase: make(map[uint32]bool),
 		completeCh: make(chan uint32, 16),
+		failed:     make(chan error, 1),
+		runs:       make(map[ring.NodeID]*tuple.Batch),
 	}
+}
+
+// fail hands a failure to the run loop (the first one wins) and stops
+// in-flight local work.
+func (s *shipConsumer) fail(err error) {
+	select {
+	case s.failed <- err:
+	default:
+	}
+	s.ex.aborted.Store(true)
 }
 
 // startStream arms streamed emission: subsequent arrivals wake a drainer
@@ -544,7 +682,6 @@ func (s *shipConsumer) startStream(sink StreamSink, final []FinalOp) {
 	s.notify = make(chan struct{}, 1)
 	s.stopDrain = make(chan struct{})
 	s.drainDone = make(chan struct{})
-	s.sinkFail = make(chan error, 1)
 	go s.drainLoop()
 }
 
@@ -564,16 +701,12 @@ func (s *shipConsumer) stopStreaming() {
 	})
 }
 
-// sinkFailCh exposes the drainer's failure channel to the run loop (nil —
-// blocking forever in a select — when streaming is not armed).
-func (s *shipConsumer) sinkFailCh() <-chan error { return s.sinkFail }
-
 func (s *shipConsumer) notifyDrainLocked() {
 	if s.sink == nil {
 		return
 	}
-	if c := s.collectedLocked(); c > s.peak {
-		s.peak = c
+	if s.cols.N > s.peak {
+		s.peak = s.cols.N
 	}
 	select {
 	case s.notify <- struct{}{}:
@@ -582,11 +715,10 @@ func (s *shipConsumer) notifyDrainLocked() {
 }
 
 // drainLoop is the initiator-side drainer: it swaps the accumulated
-// rows/batch out under the lock (replacing the columnar accumulator with
-// a fresh arena batch) and emits them through the sink. Emission may
-// block on the consumer (wire credit); receive never does. Exits on a
-// sink error (recording it for the run loop) or after the final drain
-// once stopStreaming closed stopDrain.
+// batch out under the lock (replacing it with a fresh arena batch) and
+// emits it through the sink. Emission may block on the consumer (wire
+// credit); receive never does. Exits on a sink error (handing it to the
+// run loop) or after the final drain once stopStreaming closed stopDrain.
 func (s *shipConsumer) drainLoop() {
 	defer close(s.drainDone)
 	for {
@@ -602,21 +734,17 @@ func (s *shipConsumer) drainLoop() {
 			stopping = true
 		}
 		s.mu.Lock()
-		rows := s.rows
-		s.rows = nil
-		var cols *tuple.Batch
+		var b *tuple.Batch
 		if s.cols.N > 0 {
-			cols = s.cols
+			b = s.cols
 			s.cols = getResultBatch()
 		}
 		s.mu.Unlock()
-		if err := s.emitChunk(rows, cols); err != nil {
-			select {
-			case s.sinkFail <- err:
-			default:
+		if b != nil {
+			if err := s.emitChunk(b); err != nil {
+				s.fail(err)
+				return
 			}
-			s.ex.aborted.Store(true)
-			return
 		}
 		if stopping {
 			return
@@ -624,54 +752,27 @@ func (s *shipConsumer) drainLoop() {
 	}
 }
 
-// emitChunk pushes one drained chunk through the streaming final
-// pipeline and into the sink. The drained batch is recycled afterwards.
-func (s *shipConsumer) emitChunk(ts []Tup, cols *tuple.Batch) error {
-	if len(ts) > 0 {
-		rows := make([]tuple.Row, len(ts))
-		for i, t := range ts {
-			rows[i] = t.Row
-		}
-		rows = s.streamFin.applyRows(rows)
-		if len(rows) > 0 {
-			if err := s.sink.StreamRows(rows); err != nil {
-				return err
-			}
-			s.streamed.Add(int64(len(rows)))
-		}
-	}
-	if cols == nil {
-		return nil
-	}
-	defer RecycleResultBatch(cols)
-	b, rows, err := s.streamFin.applyCols(cols)
-	if err != nil {
+// emitChunk pushes one drained batch through the streaming final
+// pipeline and into the sink, then recycles it.
+func (s *shipConsumer) emitChunk(b *tuple.Batch) error {
+	defer RecycleResultBatch(b)
+	out, err := s.streamFin.apply(b)
+	if err != nil || out.N == 0 {
 		return err
 	}
-	switch {
-	case b != nil && b.N > 0:
-		if err := s.sink.StreamCols(b); err != nil {
-			return err
-		}
-		s.streamed.Add(int64(b.N))
-	case len(rows) > 0:
-		if err := s.sink.StreamRows(rows); err != nil {
-			return err
-		}
-		s.streamed.Add(int64(len(rows)))
+	if err := s.sink.StreamCols(out); err != nil {
+		return err
 	}
+	s.streamed.Add(int64(out.N))
 	return nil
 }
-
-// collectedLocked is the number of result rows gathered so far.
-func (s *shipConsumer) collectedLocked() int { return len(s.rows) + s.cols.N }
 
 // limitReachedLocked reports whether a pushed-down limit is satisfied:
 // with a limit-only final pipeline any N collected rows are a complete
 // answer (the collected set is duplicate-free by the scan contract), so
 // further shipments can be dropped and the query completed early.
 func (s *shipConsumer) limitReachedLocked() bool {
-	return s.limit >= 0 && s.collectedLocked() >= s.limit
+	return s.limit >= 0 && s.cols.N >= s.limit
 }
 
 // checkLimitLocked fires an early completion when the pushed-down limit
@@ -692,94 +793,60 @@ func (s *shipConsumer) checkLimitLocked() {
 	}
 }
 
-func (s *shipConsumer) receive(from ring.NodeID, ts []Tup) {
-	ts = s.ex.filterTainted(ts)
+// receiveCols folds one shipment into the accumulator — one bulk copy
+// per column vector, no per-row boxing. b is borrowed and may be
+// compacted in place (tainted rows are dropped on arrival); provs is its
+// provenance column. In top-K mode the rows append onto from's sorted
+// run instead (chunks of one run arrive in order — per-link FIFO — so
+// the run stays sorted); in partial-agg mode they fold straight into the
+// merge accumulator.
+func (s *shipConsumer) receiveCols(from ring.NodeID, b *tuple.Batch, provs []Prov) {
 	s.mu.Lock()
-	if s.sealed || s.limitReachedLocked() {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.ex.opts.Provenance {
+		if len(provs) != b.N {
+			s.fail(fmt.Errorf("engine: shipment of %d rows carries %d provenance sets", b.N, len(provs)))
+			return
+		}
+		// Filter under s.mu: a recovery marks the failed set before it
+		// purges, so either the purge sees these rows or the filter sees
+		// the failure — tainted rows never slip in between.
+		provs = dropTainted(b, provs, s.ex.failedProv())
+	}
+	if b.N == 0 || s.sealed || s.limitReachedLocked() {
 		return
 	}
 	switch s.ex.mode {
 	case shipTopK:
-		if s.runsRows == nil {
-			s.runsRows = make(map[ring.NodeID][]Tup)
-		}
-		s.runsRows[from] = append(s.runsRows[from], ts...)
-	case shipAggMerge:
-		s.foldAggLocked(ts)
-	default:
-		s.rows = append(s.rows, ts...)
-		s.checkLimitLocked()
-		s.notifyDrainLocked()
-	}
-	s.mu.Unlock()
-}
-
-// receiveCols folds a columnar batch into the accumulator — one bulk copy
-// per column vector, no per-row boxing. The batch is borrowed: the caller
-// keeps ownership and may reuse it after the call returns. In top-K mode
-// it instead appends onto from's sorted run (chunks of one run arrive in
-// order — per-link FIFO — so the run stays sorted); in partial-agg mode
-// the rows fold straight into the merge accumulator.
-func (s *shipConsumer) receiveCols(from ring.NodeID, b *tuple.Batch) {
-	if b.N == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.sealed || s.limitReachedLocked() {
-		s.mu.Unlock()
-		return
-	}
-	switch s.ex.mode {
-	case shipTopK:
-		if s.runsCols == nil {
-			s.runsCols = make(map[ring.NodeID]*tuple.Batch)
-		}
-		run := s.runsCols[from]
+		run := s.runs[from]
 		if run == nil {
 			run = getResultBatch()
-			s.runsCols[from] = run
+			s.runs[from] = run
 		}
 		if err := run.AppendBatchInto(b); err != nil {
-			s.mu.Unlock()
-			s.receive(from, tupsOfBatch(b)) // shape mismatch: degrade to rows
-			return
+			s.fail(fmt.Errorf("engine: shipment from %s: %w", from, err))
 		}
 	case shipAggMerge:
 		for i := 0; i < b.N; i++ {
 			s.aggScratch = b.Row(i, s.aggScratch)
 			s.agg.add(s.aggScratch)
 		}
-		s.aggRecv += int64(b.N)
 	default:
 		if err := s.cols.AppendBatchInto(b); err != nil {
-			s.mu.Unlock()
-			s.receive(from, tupsOfBatch(b)) // shape mismatch: degrade to rows
+			s.fail(fmt.Errorf("engine: shipment from %s: %w", from, err))
 			return
 		}
+		s.prov = append(s.prov, provs...)
 		s.checkLimitLocked()
 		s.notifyDrainLocked()
 	}
-	s.mu.Unlock()
-}
-
-// foldAggLocked folds partial-aggregate tuples into the merge
-// accumulator (shipAggMerge). add copies group values out of the row, so
-// the tuples need not survive the call.
-func (s *shipConsumer) foldAggLocked(ts []Tup) {
-	for _, t := range ts {
-		s.agg.add(t.Row)
-	}
-	s.aggRecv += int64(len(ts))
 }
 
 // receiveWire handles an inbound ship payload (after the query-ID
-// header): phase, provenance flag, batch body. Non-provenance bodies
-// decode into a pooled scratch batch outside the consumer lock — decode
-// (including flate decompression) of concurrent fan-in from many nodes
-// must not serialize on s.mu — and then fold in with one locked
-// vector-wise append. Provenance bodies take the row path (each tuple
-// carries its own provenance set).
+// header). The block decodes into a pooled scratch batch outside the
+// consumer lock — decode (including flate decompression) of concurrent
+// fan-in from many nodes must not serialize on s.mu — and then folds in
+// with one locked vector-wise append.
 func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	if tr := s.ex.trace; tr != nil {
 		t0 := tr.SinceUs()
@@ -789,34 +856,18 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 			s.ex.shipDecBytes.Add(int64(len(rest)))
 		}()
 	}
-	if len(rest) >= 5 && rest[4] == 0 {
-		scratch := getResultBatch()
-		_, err := tuple.DecodeBatchInto(rest[5:], scratch)
-		if err == nil {
-			s.receiveCols(from, scratch)
-			RecycleResultBatch(scratch)
-			return nil
-		}
-		RecycleResultBatch(scratch)
-		// Malformed body: fall through to the row decoder, which
-		// re-validates and reports the error.
-	}
-	ts, _, err := decodeTupBatch(rest)
+	scratch := getResultBatch()
+	defer RecycleResultBatch(scratch)
+	_, provs, err := decodeShipBatch(rest, scratch)
 	if err != nil {
+		// An undecodable block or a failure report leaves a gap in the
+		// answer: fail the query rather than return it incomplete.
+		err = fmt.Errorf("engine: shipment from %s: %w", from, err)
+		s.fail(err)
 		return err
 	}
-	s.receive(from, ts)
+	s.receiveCols(from, scratch, provs)
 	return nil
-}
-
-// tupsOfBatch materializes a borrowed batch into owned tuples.
-func tupsOfBatch(b *tuple.Batch) []Tup {
-	rows := b.Rows()
-	ts := make([]Tup, len(rows))
-	for i, r := range rows {
-		ts[i] = Tup{Row: r}
-	}
-	return ts
 }
 
 func (s *shipConsumer) eosFromNode(from ring.NodeID, phase uint32, st NodeStats, span *obs.Span) {
@@ -852,14 +903,11 @@ func (s *shipConsumer) remoteSpans() []*obs.Span {
 
 // purge drops tainted collected rows (recovery at the initiator).
 func (s *shipConsumer) purge(failed Prov) {
-	s.mu.Lock()
-	kept := s.rows[:0]
-	for _, t := range s.rows {
-		if !t.Prov.Intersects(failed) {
-			kept = append(kept, t)
-		}
+	if !s.ex.opts.Provenance {
+		return
 	}
-	s.rows = kept
+	s.mu.Lock()
+	s.prov = dropTainted(s.cols, s.prov, failed)
 	s.mu.Unlock()
 }
 
@@ -888,65 +936,35 @@ func (s *shipConsumer) completeLocked() {
 }
 
 // seal latches the consumer shut — late straggler shipments are dropped —
-// and returns the collected answer: the row tuples and the columnar
-// accumulator. Called exactly once, when the initiator accepts a
-// completion for the current phase.
-func (s *shipConsumer) seal() ([]Tup, *tuple.Batch) {
+// and returns the collected answer. Called exactly once, when the
+// initiator accepts a completion for the current phase. In partial-agg
+// mode the answer is the merged aggregate (the plan's leading FinalAgg is
+// then already applied); in top-K mode it is the K-way merge of the
+// per-source sorted runs truncated to K, with runs taken in snapshot
+// member order so tie-breaking is deterministic for a given placement.
+func (s *shipConsumer) seal() (*tuple.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sealed = true
-	return s.rows, s.cols
-}
-
-// sealTopK latches the consumer and merge-truncates the per-source
-// sorted runs to the top K. When every run stayed columnar it returns
-// the K-way merged batch (shaped like seal's columnar return); a
-// row-form or shape-degraded run falls back to concatenating everything
-// as rows — the full final pipeline re-sorts those, so correctness never
-// depends on the merge. Runs are iterated in snapshot member order so
-// tie-breaking is deterministic for a given placement.
-func (s *shipConsumer) sealTopK(keys []SortKey, k int) ([]Tup, *tuple.Batch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sealed = true
-	members := s.ex.snapshot.Members()
-	if len(s.runsRows) == 0 {
-		runs := make([]*tuple.Batch, 0, len(s.runsCols))
-		for _, id := range members {
-			if b := s.runsCols[id]; b != nil {
+	switch s.ex.mode {
+	case shipAggMerge:
+		return s.agg.batch()
+	case shipTopK:
+		keys, k := topKParams(s.ex.plan)
+		runs := make([]*tuple.Batch, 0, len(s.runs))
+		for _, id := range s.ex.snapshot.Members() {
+			if b := s.runs[id]; b != nil {
 				runs = append(runs, b)
 			}
 		}
 		merged, err := mergeTruncateCols(runs, keys, k)
-		if err == nil {
-			for _, b := range runs {
-				RecycleResultBatch(b)
-			}
-			s.runsCols = nil
-			return nil, merged
+		for _, b := range runs {
+			RecycleResultBatch(b)
 		}
+		s.runs = nil
+		return merged, err
 	}
-	var ts []Tup
-	for _, id := range members {
-		ts = append(ts, s.runsRows[id]...)
-		if b := s.runsCols[id]; b != nil && b.N > 0 {
-			ts = append(ts, tupsOfBatch(b)...)
-		}
-	}
-	for _, b := range s.runsCols {
-		RecycleResultBatch(b)
-	}
-	s.runsCols = nil
-	return ts, s.cols
-}
-
-// sealAggMerge latches the consumer and emits the merged aggregate rows
-// accumulated incrementally from the fragments' partial states.
-func (s *shipConsumer) sealAggMerge() []tuple.Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sealed = true
-	return s.agg.rows()
+	return s.cols, nil
 }
 
 // streamedRows reports rows already emitted to the sink (0 when not

@@ -73,14 +73,6 @@ type Options struct {
 	Epoch tuple.Epoch
 	// MaxRestarts bounds RecoverRestart attempts (default 3).
 	MaxRestarts int
-	// ColumnarResult leaves the collected answer columnar: Result.Batch
-	// carries the column vectors accumulated at the initiator and
-	// Result.Rows stays nil — no per-row materialization. The serving
-	// path's hand-off; callers that want rows leave it off. Queries whose
-	// collection involved row-granular tuples (provenance mode, covering
-	// scans, aggregates demoting the final pipeline) return rows even when
-	// it is set.
-	ColumnarResult bool
 	// Trace, when non-nil, collects a span tree for this execution: the
 	// initiator attaches a per-node "fragment" span (scan passes, ship
 	// encode/decode, cache attribution) under the trace root, and the
@@ -93,10 +85,10 @@ type Options struct {
 	TraceID obs.TraceID
 	// Sink, when non-nil, receives result batches during execution for
 	// stream-eligible plans (no provenance, final pipeline of
-	// compute/limit only): Result.Rows/Batch stay nil and
-	// Result.Streamed counts the emitted rows. Ineligible plans ignore
-	// it and return the collected answer as usual. Initiator-only and
-	// never serialized. See StreamSink for the emission contract.
+	// compute/limit only): Result.Batch stays nil and Result.Streamed
+	// counts the emitted rows. Ineligible plans ignore it and return the
+	// collected answer as usual. Initiator-only and never serialized. See
+	// StreamSink for the emission contract.
 	Sink StreamSink
 }
 
@@ -190,13 +182,10 @@ func (s *statsCounters) snapshot() NodeStats {
 
 // Result is a completed query's answer set and execution metadata.
 type Result struct {
-	// Rows is the final answer set (after initiator-side final operators).
-	// Nil when Batch carries the answer instead.
-	Rows []tuple.Row
-	// Batch is the columnar answer set, populated instead of Rows when
-	// Options.ColumnarResult was set and the whole collection stayed
-	// columnar. Its slabs may be returned to the arena with
-	// RecycleResultBatch once the caller is completely done with them.
+	// Batch is the final answer set (after initiator-side final
+	// operators), nil when the answer streamed through Options.Sink. Its
+	// slabs may be returned to the arena with RecycleResultBatch once the
+	// caller is completely done with them.
 	Batch *tuple.Batch
 	// Stats maps each participating node to its work counters (the last
 	// report received from each).
@@ -208,13 +197,22 @@ type Result struct {
 	// Epoch is the snapshot epoch the query executed against.
 	Epoch tuple.Epoch
 	// Streamed counts rows emitted through Options.Sink during
-	// execution; when positive, Rows and Batch are nil — the whole
-	// answer went through the sink.
+	// execution; when positive, Batch is nil — the whole answer went
+	// through the sink.
 	Streamed int64
 	// StreamPeak is the high-water mark of result rows buffered at the
 	// initiator while streaming — the memory-bound observability hook
 	// (0 when the query did not stream).
 	StreamPeak int
+}
+
+// Rows materializes the answer as rows (nil when it streamed or is
+// empty).
+func (r *Result) Rows() []tuple.Row {
+	if r.Batch == nil {
+		return nil
+	}
+	return r.Batch.Rows()
 }
 
 // TotalStats sums the per-node counters.
@@ -399,7 +397,7 @@ func newExecutor(eng *Engine, queryID uint64, plan *Plan, opts Options, epoch tu
 		ex.trace = obs.NewTrace(opts.TraceID, "fragment", string(eng.node.ID()))
 		ex.frag = ex.trace.Root()
 	}
-	ex.shipper = &shipProducer{ex: ex}
+	ex.shipper = &shipProducer{ex: ex, pending: &tuple.Batch{}}
 	if err := ex.build(plan.Root, ex.shipper); err != nil {
 		return nil, err
 	}
@@ -498,21 +496,6 @@ func (ex *executor) filterAndStamp(ts []Tup) []Tup {
 		}
 		t.Prov.Set(ex.selfIdx)
 		kept = append(kept, t)
-	}
-	return kept
-}
-
-// filterTainted drops tainted tuples without stamping (initiator side).
-func (ex *executor) filterTainted(ts []Tup) []Tup {
-	if !ex.opts.Provenance {
-		return ts
-	}
-	failed := ex.failedProv()
-	kept := ts[:0]
-	for _, t := range ts {
-		if !t.Prov.Intersects(failed) {
-			kept = append(kept, t)
-		}
 	}
 	return kept
 }
@@ -626,12 +609,22 @@ func (ex *executor) broadcastScanDone(scanID int, phase uint32) {
 	}
 }
 
-// sendShipBatch delivers fragment output to the query initiator.
-func (ex *executor) sendShipBatch(ts []Tup) {
-	ex.stats.addShipped(len(ts))
+// shipCompressMin mirrors the tuple batch codec's default compression
+// threshold for remote exchange bodies.
+const shipCompressMin = 256
+
+// sendShipCols delivers one block of fragment output — a batch and its
+// provenance column (nil without provenance) — to the query initiator.
+// The batch is borrowed: loopback hands it to the ship consumer (which
+// may compact it and copies it into its accumulator), the remote path
+// encodes it — either way the caller keeps ownership after the call.
+// Provenance sets are never mutated once shipped, so loopback shares
+// them.
+func (ex *executor) sendShipCols(b *tuple.Batch, provs []Prov) {
+	ex.stats.addShipped(b.N)
 	if ex.initiator == ex.self() {
 		if ex.shipCons != nil {
-			ex.shipCons.receive(ex.self(), ex.loopbackTups(ts))
+			ex.shipCons.receiveCols(ex.self(), b, provs)
 		}
 		return
 	}
@@ -639,12 +632,13 @@ func (ex *executor) sendShipBatch(ts []Tup) {
 	if ex.trace != nil {
 		encT0 = ex.trace.SinceUs()
 	}
-	body, err := encodeTupBatch(ts, ex.phaseNow(), ex.opts.Provenance)
+	payload := ex.header(nil)
+	payload = appendBatchHead(payload, ex.phaseNow(), ex.opts.Provenance, provs)
+	payload, err := tuple.AppendBatchCols(payload, b, shipCompressMin)
 	if err != nil {
+		ex.sendShipFailure(fmt.Errorf("engine: ship: %w", err))
 		return
 	}
-	payload := ex.header(nil)
-	payload = append(payload, body...)
 	if ex.trace != nil {
 		ex.shipEncUs.Add(ex.trace.SinceUs() - encT0)
 		ex.shipEncBatches.Add(1)
@@ -654,38 +648,16 @@ func (ex *executor) sendShipBatch(ts []Tup) {
 	_ = ex.eng.node.Endpoint().Send(ex.initiator, msgShipBatch, payload)
 }
 
-// shipCompressMin mirrors the tuple batch codec's default compression
-// threshold for remote columnar ship bodies.
-const shipCompressMin = 256
-
-// sendShipCols delivers columnar fragment output to the query initiator.
-// The batch is borrowed: loopback appends it into the ship consumer's
-// accumulator, the remote path encodes it — either way the caller keeps
-// ownership after the call.
-func (ex *executor) sendShipCols(b *tuple.Batch) {
-	ex.stats.addShipped(b.N)
+// sendShipFailure fails the query at the initiator when this fragment
+// cannot ship its output.
+func (ex *executor) sendShipFailure(err error) {
 	if ex.initiator == ex.self() {
 		if ex.shipCons != nil {
-			ex.shipCons.receiveCols(ex.self(), b)
+			ex.shipCons.fail(err)
 		}
 		return
 	}
-	var encT0 int64
-	if ex.trace != nil {
-		encT0 = ex.trace.SinceUs()
-	}
-	payload := ex.header(nil)
-	payload = binary.BigEndian.AppendUint32(payload, ex.phaseNow())
-	payload = append(payload, 0) // no provenance column
-	payload, err := tuple.AppendBatchCols(payload, b, shipCompressMin)
-	if err != nil {
-		return
-	}
-	if ex.trace != nil {
-		ex.shipEncUs.Add(ex.trace.SinceUs() - encT0)
-		ex.shipEncBatches.Add(1)
-		ex.shipEncBytes.Add(int64(len(payload)))
-	}
+	payload := appendFailedHead(ex.header(nil), ex.phaseNow(), err)
 	ex.stats.addSentBytes(len(payload))
 	_ = ex.eng.node.Endpoint().Send(ex.initiator, msgShipBatch, payload)
 }
@@ -906,8 +878,6 @@ func (e *Engine) registerHandlers() {
 			return nil, nil
 		}
 		ex.stats.addRecvBytes(len(payload))
-		// Non-provenance bodies decode straight into the consumer's
-		// columnar accumulator; provenance bodies take the row path.
 		return nil, ex.shipCons.receiveWire(from, rest)
 	})
 
@@ -1326,131 +1296,65 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 				}
 				return nil, &FailureError{Failed: allFailed}
 			}
-		case err := <-ex.shipCons.sinkFailCh():
+		case err := <-ex.shipCons.failed:
 			return nil, err
 		case phase := <-ex.shipCons.completeCh:
 			if phase != ex.phaseNow() {
 				continue // stale completion from before a recovery
 			}
-			if ex.mode == shipStream && opts.Sink != nil {
-				// Join the drainer: it flushes whatever the last arrivals
-				// left in the accumulator before stopping, so totals are
-				// exact afterwards.
-				ex.shipCons.stopStreaming()
-				select {
-				case err := <-ex.shipCons.sinkFailCh():
-					return nil, err
-				default:
-				}
-				ex.attachInitiatorSpans()
-				res := &Result{
-					Stats:      ex.shipCons.nodeStats(),
-					Phases:     ex.phaseNow() + 1,
-					Epoch:      epoch,
-					Streamed:   ex.shipCons.streamedRows(),
-					StreamPeak: ex.shipCons.peakBuffered(),
-				}
-				if finalSpan := ex.trace.Begin("final"); finalSpan != nil {
-					finalSpan.Rows = res.Streamed
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
-				}
-				return res, nil
-			}
-			if ex.mode == shipAggMerge {
-				// The partials were folded on arrival; finish the merge and
-				// run the rest of the pipeline. Final[0] (the FinalAgg) is
-				// already applied — its partial layout no longer matches the
-				// merged rows, so re-applying it would be wrong.
-				rows := ex.shipCons.sealAggMerge()
-				ex.attachInitiatorSpans()
-				finalSpan := ex.trace.Begin("final")
-				final, err := applyFinalOps(p.Final[1:], rows)
-				if err != nil {
-					return nil, err
-				}
-				res := &Result{
-					Rows:   final,
-					Stats:  ex.shipCons.nodeStats(),
-					Phases: ex.phaseNow() + 1,
-					Epoch:  epoch,
-				}
-				if finalSpan != nil {
-					finalSpan.Rows = int64(len(final))
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
-				}
-				return res, nil
-			}
-			var tups []Tup
-			var colsB *tuple.Batch
-			if ex.mode == shipTopK {
-				// Merge-truncate the per-fragment sorted runs down to the
-				// row budget, then let the generic assembly below re-apply
-				// the full final pipeline over the ≤K survivors (a sort of
-				// ≤K rows is cheap, and trailing ops stay correct).
-				keys, k := topKParams(p)
-				tups, colsB = ex.shipCons.sealTopK(keys, k)
-			} else {
-				tups, colsB = ex.shipCons.seal()
+			// Join the drainer when streaming: it flushes whatever the
+			// last arrivals left in the accumulator before stopping, so
+			// totals are exact afterwards. A failure handed over before
+			// the completion (sink error, bad shipment) wins.
+			ex.shipCons.stopStreaming()
+			select {
+			case err := <-ex.shipCons.failed:
+				return nil, err
+			default:
 			}
 			ex.attachInitiatorSpans()
-			finalSpan := ex.trace.Begin("final")
 			res := &Result{
 				Stats:  ex.shipCons.nodeStats(),
 				Phases: ex.phaseNow() + 1,
 				Epoch:  epoch,
 			}
-			if len(tups) == 0 {
-				// Pure columnar collection: run the batch-native final
-				// pipeline; no row is materialized unless an op demotes.
-				// (String contents alias kvstore record bytes, never the
-				// vectors themselves, so recycling a batch after copying
-				// its values out is safe.)
-				b, rows, err := applyFinalOpsCols(p.Final, colsB)
+			finalSpan := ex.trace.Begin("final")
+			if ex.mode == shipStream && opts.Sink != nil {
+				res.Streamed = ex.shipCons.streamedRows()
+				res.StreamPeak = ex.shipCons.peakBuffered()
+				if finalSpan != nil {
+					finalSpan.Rows = res.Streamed
+				}
+			} else {
+				collected, err := ex.shipCons.seal()
 				if err != nil {
 					return nil, err
 				}
-				if b != colsB {
-					RecycleResultBatch(colsB)
+				ops := p.Final
+				if ex.mode == shipAggMerge {
+					// The partials were folded on arrival and seal merged
+					// them: Final[0] (the FinalAgg) is already applied.
+					ops = ops[1:]
 				}
-				switch {
-				case b == nil:
-					res.Rows = rows // an op demoted the flow
-				case opts.ColumnarResult:
-					res.Batch = b
-				default:
-					res.Rows = b.Rows()
-					RecycleResultBatch(b)
+				// In top-K mode seal merge-truncated the per-fragment
+				// sorted runs to the row budget; re-applying the full
+				// pipeline over the ≤K survivors is cheap and keeps
+				// trailing ops correct. (String contents alias kvstore
+				// record bytes, never the vectors themselves, so
+				// recycling a batch after copying its values out is safe.)
+				b, err := applyFinalOpsCols(ops, collected)
+				if err != nil {
+					return nil, err
 				}
+				if b != collected {
+					RecycleResultBatch(collected)
+				}
+				res.Batch = b
 				if finalSpan != nil {
-					if b != nil {
-						finalSpan.Rows = int64(b.N)
-					} else {
-						finalSpan.Rows = int64(len(rows))
-					}
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
+					finalSpan.Rows = int64(b.N)
 				}
-				return res, nil
 			}
-			// Mixed or row-granular collection (provenance mode, covering
-			// scans, replica fallbacks): materialize and run the row form.
-			rows := make([]tuple.Row, 0, len(tups)+colsB.N)
-			for _, t := range tups {
-				rows = append(rows, t.Row)
-			}
-			if colsB.N > 0 {
-				rows = append(rows, colsB.Rows()...)
-			}
-			RecycleResultBatch(colsB)
-			final, err := applyFinalOps(p.Final, rows)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = final
 			if finalSpan != nil {
-				finalSpan.Rows = int64(len(final))
 				ex.trace.End(finalSpan)
 				ex.trace.Attach(nil, finalSpan)
 			}

@@ -11,8 +11,9 @@ import (
 )
 
 // The columnar final pipeline (applyFinalOpsCols) must agree exactly with
-// the row pipeline (applyFinalOps) — including NaN ordering in sorts,
-// integer preservation in aggregate merges, and limit truncation points.
+// the row-form oracle (applyFinalOps, reference_test.go) — including NaN
+// ordering in sorts, integer preservation in aggregate merges, and limit
+// truncation points.
 
 // valueKey renders a value for exact comparison: Value.Equal treats NaN
 // as equal to everything (the Cmp quirk), so compare bit patterns.
@@ -128,31 +129,28 @@ func TestFinalOpsBatchRowEquivalence(t *testing.T) {
 
 		wantRows, err := applyFinalOps(ops, cloneRows(rows))
 		if err != nil {
-			t.Fatalf("round %d: row path: %v", round, err)
+			t.Fatalf("round %d: oracle: %v", round, err)
 		}
-		b, gotDemoted, err := applyFinalOpsCols(ops, batchOfRows(t, rows))
+		b, err := applyFinalOpsCols(ops, batchOfRows(t, rows))
 		if err != nil {
 			t.Fatalf("round %d: batch path: %v", round, err)
 		}
-		got := gotDemoted
-		if b != nil {
-			got = b.Rows()
-		}
-		wantK, gotK := rowKeys(wantRows), rowKeys(got)
+		wantK, gotK := rowKeys(wantRows), rowKeys(b.Rows())
 		if len(wantK) != len(gotK) {
-			t.Fatalf("round %d ops %v: row path %d rows, batch path %d", round, ops, len(wantK), len(gotK))
+			t.Fatalf("round %d ops %v: oracle %d rows, batch path %d", round, ops, len(wantK), len(gotK))
 		}
 		for i := range wantK {
 			if wantK[i] != gotK[i] {
-				t.Fatalf("round %d ops %v: row %d differs:\n row:   %s\n batch: %s", round, ops, i, wantK[i], gotK[i])
+				t.Fatalf("round %d ops %v: row %d differs:\n oracle: %s\n batch:  %s", round, ops, i, wantK[i], gotK[i])
 			}
 		}
 	}
 }
 
 // TestFinalAggBatchRowEquivalence feeds partial-layout aggregate rows
-// through both merge paths. Output order is map-iteration dependent, so
-// results compare as sorted sets.
+// through the columnar merge and the oracle. A batch column holds one
+// type, so each round draws its partial sums all-int or all-float. Output
+// order is map-iteration dependent, so results compare as sorted sets.
 func TestFinalAggBatchRowEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	specs := []AggSpec{
@@ -166,10 +164,11 @@ func TestFinalAggBatchRowEquivalence(t *testing.T) {
 		// Partial layout: group col, then count, sum, min, max, avg-sum,
 		// avg-count.
 		n := rng.Intn(50)
+		floatSums := rng.Intn(3) == 0
 		rows := make([]tuple.Row, n)
 		for i := range rows {
 			sum := tuple.Value(tuple.I(int64(rng.Intn(100))))
-			if rng.Intn(3) == 0 {
+			if floatSums {
 				sum = tuple.F(rng.Float64() * 10)
 			}
 			rows[i] = tuple.Row{
@@ -187,28 +186,15 @@ func TestFinalAggBatchRowEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The batch path demotes at the aggregate — mixed int/float sum
-		// columns additionally exercise the row fallback inside
-		// batchOfRows-incompatible shapes, so batch only the homogeneous
-		// rounds.
-		hom := true
-		for _, r := range rows {
-			if r[2].T != rows[0][2].T {
-				hom = false
-				break
-			}
+		in := &tuple.Batch{}
+		if n > 0 {
+			in = batchOfRows(t, rows)
 		}
-		if !hom || n == 0 {
-			continue
-		}
-		b, gotRows, err := applyFinalOpsCols(ops, batchOfRows(t, rows))
+		b, err := applyFinalOpsCols(ops, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b != nil {
-			t.Fatalf("round %d: aggregate must demote to rows", round)
-		}
-		wantK, gotK := rowKeys(wantRows), rowKeys(gotRows)
+		wantK, gotK := rowKeys(wantRows), rowKeys(b.Rows())
 		sort.Strings(wantK)
 		sort.Strings(gotK)
 		if len(wantK) != len(gotK) {
@@ -216,34 +202,61 @@ func TestFinalAggBatchRowEquivalence(t *testing.T) {
 		}
 		for i := range wantK {
 			if wantK[i] != gotK[i] {
-				t.Fatalf("round %d: group %d differs:\n row:   %s\n batch: %s", round, i, wantK[i], gotK[i])
+				t.Fatalf("round %d: group %d differs:\n oracle: %s\n batch:  %s", round, i, wantK[i], gotK[i])
 			}
 		}
 	}
 }
 
-// TestFinalComputeNoPerRowAlloc pins the FinalCompute slab optimization:
-// the row form must not allocate one slice per row.
+// TestFinalComputeNoPerRowAlloc pins that the columnar FinalCompute
+// allocates per batch, not per row.
 func TestFinalComputeNoPerRowAlloc(t *testing.T) {
 	rows := make([]tuple.Row, 4096)
 	for i := range rows {
 		rows[i] = tuple.Row{tuple.I(int64(i)), tuple.F(float64(i))}
 	}
+	in := batchOfRows(t, rows)
 	ops := []FinalOp{&FinalCompute{Exprs: []Expr{
 		Col{Idx: 0},
 		Bin{Op: OpAdd, L: Col{Idx: 0}, R: Const{Val: tuple.I(7)}},
 	}}}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := applyFinalOps(ops, rows); err != nil {
+		if _, err := applyFinalOpsCols(ops, in); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Compile closures + one slab; anything near len(rows) means the
-	// per-row make crept back in.
+	// Compiled closures, the output batch and its vectors; anything near
+	// len(rows) means a per-row allocation crept in.
 	if allocs > 64 {
 		t.Fatalf("FinalCompute allocations per run = %.0f, want O(1), not O(rows)", allocs)
 	}
 }
+
+// TestFinalComputeTypeChangeIsError: output types depend only on input
+// column types, so a compute whose result type changes mid-batch is a
+// bug the columnar pipeline reports instead of changing form.
+func TestFinalComputeTypeChangeIsError(t *testing.T) {
+	b := batchOfRows(t, []tuple.Row{{tuple.I(1)}, {tuple.I(2)}})
+	calls := 0
+	flip := func(tuple.Row) tuple.Value {
+		calls++
+		if calls > 1 {
+			return tuple.S("x")
+		}
+		return tuple.I(0)
+	}
+	if _, err := computeCols([]Expr{funcExpr(flip)}, b); err == nil {
+		t.Fatal("type change mid-batch: want error")
+	}
+}
+
+// funcExpr adapts a Go function to Expr (compiled through the interpreted
+// fallback).
+type funcExpr func(tuple.Row) tuple.Value
+
+func (f funcExpr) Eval(row tuple.Row) tuple.Value { return f(row) }
+func (f funcExpr) append(dst []byte) []byte       { return dst }
+func (f funcExpr) String() string                 { return "func" }
 
 // TestLimitOnlyFinalDetection pins the pushdown predicate.
 func TestLimitOnlyFinalDetection(t *testing.T) {

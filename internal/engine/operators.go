@@ -97,9 +97,8 @@ func (p *projectOp) eos(phase uint32) { p.out.eos(phase) }
 // --- compute-function ---
 
 // computeOp evaluates compiled scalar expressions per row. It is not
-// batch-aware (expression results may change type row to row, which would
-// fracture column vectors); upstream batches materialize at its input
-// edge and the compiled closures keep the per-row cost low.
+// batch-aware: upstream batches materialize at its input edge and the
+// compiled closures keep the per-row cost low.
 type computeOp struct {
 	fns []evalFn
 	out sink
@@ -623,5 +622,4 @@ func (a *aggOp) recover(failed Prov) {
 	a.mu.Unlock()
 }
 
-// mergeFinal (the initiator-side FinalAgg merge) lives in final.go as
-// finalAggAcc, shared by the row and columnar final pipelines.
+// The initiator-side FinalAgg merge lives in final.go as finalAggAcc.

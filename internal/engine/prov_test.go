@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"orchestra/internal/tuple"
 )
 
 // provConfig generates provenance sets over a bounded member universe.
@@ -146,5 +151,116 @@ func TestBatchCodecRoundTripWithProvenance(t *testing.T) {
 				t.Fatalf("prov %d mismatch", i)
 			}
 		}
+	}
+}
+
+// TestShipConsumerPurgeColumnar: the initiator's recovery purge compacts
+// the columnar accumulator and its provenance column together — exactly
+// the rows untouched by the failed member survive, in arrival order, each
+// still paired with its own set — and once the member is marked failed,
+// its rows are dropped on arrival the same way.
+func TestShipConsumerPurgeColumnar(t *testing.T) {
+	const members = 4
+	ex := &executor{opts: Options{Provenance: true}, failed: NewProv(members)}
+	cons := newShipConsumer(ex)
+	sets := []Prov{
+		ProvOf(members, 0), ProvOf(members, 1), ProvOf(members, 0, 2),
+		ProvOf(members, 3), ProvOf(members, 1, 2),
+	}
+	var wantK []int64
+	var wantProv []string
+	k := 0
+	ship := func(n int) {
+		b := &tuple.Batch{}
+		b.ResetTypes([]tuple.Type{tuple.Int64, tuple.String})
+		provs := make([]Prov, 0, n)
+		for i := 0; i < n; i++ {
+			p := sets[k%len(sets)]
+			if err := b.AppendRow(tuple.Row{tuple.I(int64(k)), tuple.S(fmt.Sprint("v", k))}); err != nil {
+				t.Fatal(err)
+			}
+			provs = append(provs, p)
+			if !p.Has(2) {
+				wantK = append(wantK, int64(k))
+				wantProv = append(wantProv, p.Key())
+			}
+			k++
+		}
+		cons.receiveCols("n1", b, provs)
+	}
+	// Shipments of mixed sets, sized to cross bitset word boundaries.
+	for _, n := range []int{70, 1, 130} {
+		ship(n)
+	}
+	cons.purge(ProvOf(members, 2))
+	// Member 2 is now failed: a later shipment's tainted rows never land.
+	ex.failed.Set(2)
+	ship(67)
+
+	got, err := cons.seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != len(wantK) || len(cons.prov) != got.N {
+		t.Fatalf("kept %d rows with %d provenance sets, want %d", got.N, len(cons.prov), len(wantK))
+	}
+	for i := 0; i < got.N; i++ {
+		if got.Cols[0].I64[i] != wantK[i] || got.Cols[1].Str[i] != fmt.Sprint("v", wantK[i]) {
+			t.Fatalf("row %d = (%d, %s), want k=%d", i, got.Cols[0].I64[i], got.Cols[1].Str[i], wantK[i])
+		}
+		if cons.prov[i].Key() != wantProv[i] {
+			t.Fatalf("row %d (k=%d): provenance not aligned with its row", i, wantK[i])
+		}
+	}
+}
+
+// TestShipProducerFailureReachesInitiator: output the ship cannot carry —
+// a top-K fragment whose rows change shape (its run could no longer be
+// sorted as one), or a row with an invalid value — fails the query at the
+// initiator instead of leaving a gap or an unsorted run in the answer.
+func TestShipProducerFailureReachesInitiator(t *testing.T) {
+	h := newHarness(t, 1)
+	for _, tc := range []struct {
+		name string
+		mode shipMode
+		rows []tuple.Row
+		want string
+	}{
+		{"top-K shape change", shipTopK, []tuple.Row{{tuple.I(1)}, {tuple.S("a")}}, "changed shape"},
+		{"invalid value", shipCollect, []tuple.Row{{tuple.I(1)}, {tuple.Value{}}}, "invalid value"},
+	} {
+		ex := &executor{eng: h.engines[0], mode: tc.mode}
+		ex.initiator = ex.self()
+		ex.shipCons = newShipConsumer(ex)
+		s := &shipProducer{ex: ex, pending: &tuple.Batch{}}
+		for _, r := range tc.rows {
+			s.push([]Tup{{Row: r}})
+		}
+		select {
+		case err := <-ex.shipCons.failed:
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: query failed with %v, want %q", tc.name, err, tc.want)
+			}
+		default:
+			t.Errorf("%s: the initiator was not told of the failure", tc.name)
+		}
+	}
+}
+
+// TestShipFailureBlockFailsQuery: a remote fragment's failure report
+// arrives as a ship block; decoding it fails the query with its message.
+func TestShipFailureBlockFailsQuery(t *testing.T) {
+	cons := newShipConsumer(&executor{})
+	block := appendFailedHead(nil, 0, errors.New("boom"))
+	if err := cons.receiveWire("n1", block); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("receiveWire = %v, want the fragment's error", err)
+	}
+	select {
+	case err := <-cons.failed:
+		if !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("query failed with %v", err)
+		}
+	default:
+		t.Fatal("failure block did not fail the query")
 	}
 }

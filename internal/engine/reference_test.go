@@ -9,7 +9,8 @@ import (
 )
 
 // refEval is a naive single-process evaluator used as the correctness
-// oracle: every distributed execution must return exactly the multiset this
+// oracle (its final pipeline, applyFinalOps, is the row-form oracle the
+// engine's columnar final pipeline is compared against): every distributed execution must return exactly the multiset this
 // produces (complete, duplicate-free answers are the paper's core claim).
 func refEval(p *Plan, data map[string][]tuple.Row, schemas map[string]*tuple.Schema) ([]tuple.Row, error) {
 	rows, err := refNode(p.Root, data, schemas)
@@ -109,6 +110,150 @@ func refNode(n Node, data map[string][]tuple.Row, schemas map[string]*tuple.Sche
 	default:
 		return nil, fmt.Errorf("ref: unknown node %T", n)
 	}
+}
+
+// applyFinalOps runs the final pipeline over rows, one row at a time —
+// the oracle for the columnar applyFinalOpsCols.
+func applyFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
+	for _, op := range ops {
+		switch f := op.(type) {
+		case *FinalAgg:
+			rows = mergeFinal(f.GroupCols, f.Aggs, rows)
+		case *FinalSort:
+			sortRows(rows, f.Keys)
+		case *FinalCompute:
+			out := make([]tuple.Row, len(rows))
+			for i, row := range rows {
+				r := make(tuple.Row, len(f.Exprs))
+				for j, e := range f.Exprs {
+					r[j] = e.Eval(row)
+				}
+				out[i] = r
+			}
+			rows = out
+		case *FinalLimit:
+			if len(rows) > f.N {
+				rows = rows[:f.N]
+			}
+		default:
+			return nil, fmt.Errorf("ref: unknown final op %T", op)
+		}
+	}
+	return rows, nil
+}
+
+// sortRows orders rows by the sort keys (stable, so equal keys preserve
+// arrival order), comparing with Value.Cmp.
+func sortRows(rows []tuple.Row, keys []SortKey) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			c := rows[i][k.Col].Cmp(rows[j][k.Col])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+}
+
+// mergeFinal merges partial-layout aggregate rows (group columns, then
+// per spec one column, two for AVG: sum and count) row by row.
+func mergeFinal(groupCols []int, specs []AggSpec, rows []tuple.Row) []tuple.Row {
+	type acc struct {
+		groupVals tuple.Row
+		counts    []int64
+		sums      []float64
+		isums     []int64
+		allInt    []bool
+		mins      []tuple.Value
+		maxs      []tuple.Value
+	}
+	groups := make(map[string]*acc)
+	var order []string
+	for _, row := range rows {
+		gk := string(tuple.EncodeKey(row, groupCols))
+		g := groups[gk]
+		if g == nil {
+			g = &acc{
+				groupVals: row.Project(groupCols),
+				counts:    make([]int64, len(specs)),
+				sums:      make([]float64, len(specs)),
+				isums:     make([]int64, len(specs)),
+				allInt:    make([]bool, len(specs)),
+				mins:      make([]tuple.Value, len(specs)),
+				maxs:      make([]tuple.Value, len(specs)),
+			}
+			for i := range specs {
+				g.allInt[i] = true
+			}
+			groups[gk] = g
+			order = append(order, gk)
+		}
+		col := len(groupCols)
+		for i, spec := range specs {
+			v := row[col]
+			col++
+			switch spec.Func {
+			case AggCount:
+				g.counts[i] += v.AsInt()
+			case AggSum:
+				if v.T == tuple.Int64 {
+					g.isums[i] += v.I64
+				} else {
+					g.allInt[i] = false
+				}
+				g.sums[i] += v.AsFloat()
+				g.counts[i]++
+			case AggMin:
+				if g.counts[i] == 0 || v.Cmp(g.mins[i]) < 0 {
+					g.mins[i] = v
+				}
+				g.counts[i]++
+			case AggMax:
+				if g.counts[i] == 0 || v.Cmp(g.maxs[i]) > 0 {
+					g.maxs[i] = v
+				}
+				g.counts[i]++
+			case AggAvg:
+				g.sums[i] += v.AsFloat()
+				g.counts[i] += row[col].AsInt()
+				col++
+			}
+		}
+	}
+	out := make([]tuple.Row, 0, len(groups))
+	for _, gk := range order {
+		g := groups[gk]
+		row := g.groupVals.Clone()
+		for i, spec := range specs {
+			switch spec.Func {
+			case AggCount:
+				row = append(row, tuple.I(g.counts[i]))
+			case AggSum:
+				if g.allInt[i] {
+					row = append(row, tuple.I(g.isums[i]))
+				} else {
+					row = append(row, tuple.F(g.sums[i]))
+				}
+			case AggMin:
+				row = append(row, g.mins[i])
+			case AggMax:
+				row = append(row, g.maxs[i])
+			case AggAvg:
+				if g.counts[i] == 0 {
+					row = append(row, tuple.F(0))
+				} else {
+					row = append(row, tuple.F(g.sums[i]/float64(g.counts[i])))
+				}
+			}
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // refAggregate computes complete aggregates over rows.

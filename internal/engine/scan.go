@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"sort"
 	"sync"
 
@@ -409,7 +408,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 	}
 
 	if len(ships) > 0 && l.meta != nil {
-		pes := preparePass(ships, l.ex.failedProv())
+		pes := preparePass(l.meta.schema.Relation, ships, l.ex.failedProv())
 		// handle decodes and emits one matched record, reporting success.
 		// A local decode failure (truncated/corrupt record) leaves the
 		// entry un-done so the replica fallback below fetches the exact
@@ -527,7 +526,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 			sh := ships[pe.ship]
 			id := sh.ids[pe.pos]
 			ctx, cancel := context.WithTimeout(context.Background(), l.ex.eng.node.Config().RequestTimeout)
-			data, err := l.ex.eng.node.GetRecord(ctx, sh.hashes[pe.pos], vstore.TupleKVKey(id))
+			data, err := l.ex.eng.node.GetRecord(ctx, sh.hashes[pe.pos], vstore.TupleVersionKey(l.meta.schema.Relation, id))
 			cancel()
 			if fetched == nil {
 				fetched = make(map[string]bool)
@@ -570,14 +569,13 @@ func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 		l.scratch.cols.ResetTypes(colTypes)
 	}
 	l.scratch.phase = phase
-	l.scratch.prov = nil
 	return l.scratch
 }
 
 // preparePass expands the live shipments (sender still clean) into one
 // entry per ID, builds each entry's full local-store key in a single
 // shared slab, and sorts them into storage-key order for the merge walk.
-func preparePass(ships []*idShipment, failed Prov) []passEntry {
+func preparePass(relation string, ships []*idShipment, failed Prov) []passEntry {
 	size, n := 0, 0
 	for _, sh := range ships {
 		if failed.Has(int(sh.fromIdx)) {
@@ -585,7 +583,7 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 		}
 		n += len(sh.ids)
 		for _, id := range sh.ids {
-			size += 2 + keyspace.Size + len(id.Key) + 1 + 8
+			size += vstore.TupleVersionKeyLen(relation, id)
 		}
 	}
 	slab := make([]byte, 0, size)
@@ -596,11 +594,7 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 		}
 		for i, id := range sh.ids {
 			start := len(slab)
-			slab = append(slab, 't', '/')
-			slab = append(slab, sh.hashes[i][:]...)
-			slab = append(slab, id.Key...)
-			slab = append(slab, 0)
-			slab = binary.BigEndian.AppendUint64(slab, uint64(id.Epoch))
+			slab = vstore.AppendTupleVersionKey(slab, relation, sh.hashes[i], id)
 			pes = append(pes, passEntry{key: slab[start:len(slab):len(slab)], ship: int32(si), pos: int32(i)})
 		}
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // Unit and fuzz coverage for the top-K pushdown's initiator half
-// (mergeTruncateCols) and the ship-batch codec the partial-agg merge
-// decodes (decodeTupBatch).
+// (mergeTruncateCols) and the exchange block codec: the rehash decode
+// (decodeTupBatch) and the initiator's columnar ship decode
+// (decodeShipBatch) share the block head and must agree on every input.
 
 // cmpRowsKeys is the row-form reference comparator, mirroring
 // cmpBatchRows' per-type ordering.
@@ -232,10 +233,13 @@ func TestMergeTruncateEdgeCases(t *testing.T) {
 	}
 }
 
-// FuzzTupBatchDecode hammers the ship-batch decoder with mutated frames
-// — the partial-agg merge path decodes these straight off the wire. It
-// must reject garbage with an error, never panic, and round-trip valid
-// encodings.
+// FuzzTupBatchDecode hammers the exchange block decoders with mutated
+// frames — the initiator decodes ship blocks straight off the wire. On
+// every input the initiator's columnar decode (provenance dictionary,
+// then DecodeBatchInto) must agree with the row decode (decodeTupBatch)
+// on success, rows and provenance sets; garbage must be rejected with an
+// error, never a panic; and a valid decode must re-encode through both
+// encoders and decode back to the same block.
 func FuzzTupBatchDecode(f *testing.F) {
 	seedRows := [][]Tup{
 		{},
@@ -264,15 +268,48 @@ func FuzzTupBatchDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, phase, err := decodeTupBatch(data)
+		b := &tuple.Batch{}
+		shipPhase, provs, shipErr := decodeShipBatch(data, b)
+		if (err == nil) != (shipErr == nil) {
+			t.Fatalf("decoders disagree: row decode err %v, ship decode err %v", err, shipErr)
+		}
 		if err != nil {
 			return
 		}
-		// A successful decode must re-encode cleanly (the decoded tuples
-		// are structurally valid).
-		withProv := len(data) >= 5 && data[4] == 1
-		if _, err := encodeTupBatch(ts, phase, withProv); err != nil {
-			t.Fatalf("re-encode of valid decode failed: %v", err)
+		withProv := data[4] == 1
+		checkSame := func(what string, phase2 uint32, b *tuple.Batch, provs []Prov) {
+			t.Helper()
+			rows := b.Rows()
+			if phase2 != phase || len(rows) != len(ts) || (provs != nil) != withProv {
+				t.Fatalf("%s: phase %d, %d rows, prov column %v; row decode: phase %d, %d rows, prov flag %v",
+					what, phase2, len(rows), provs != nil, phase, len(ts), withProv)
+			}
+			for i := range ts {
+				if rowKey(rows[i]) != rowKey(ts[i].Row) {
+					t.Fatalf("%s: row %d: %s, row decode %s", what, i, rowKey(rows[i]), rowKey(ts[i].Row))
+				}
+				if withProv && provs[i].Key() != ts[i].Prov.Key() {
+					t.Fatalf("%s: row %d provenance differs", what, i)
+				}
+			}
 		}
+		checkSame("ship decode", shipPhase, b, provs)
+		// A successful decode is structurally valid: it re-encodes cleanly
+		// through the row encoder and through the ship encoder, and the
+		// ship encoding decodes back to the same block.
+		if _, err := encodeTupBatch(ts, phase, withProv); err != nil {
+			t.Fatalf("row re-encode of valid decode failed: %v", err)
+		}
+		enc, err := tuple.AppendBatchCols(appendBatchHead(nil, phase, withProv, provs), b, shipCompressMin)
+		if err != nil {
+			t.Fatalf("ship re-encode of valid decode failed: %v", err)
+		}
+		b2 := &tuple.Batch{}
+		phase2, provs2, err := decodeShipBatch(enc, b2)
+		if err != nil {
+			t.Fatalf("ship re-encoding does not decode: %v", err)
+		}
+		checkSame("ship round trip", phase2, b2, provs2)
 	})
 }
 

@@ -3,7 +3,9 @@
 // paper §IV, "the current epoch can be determined through a simple 'gossip'
 // protocol and does not require a single point of failure": each node keeps
 // its highest-seen epoch and periodically pushes it to a few random peers;
-// receiving a higher epoch adopts it.
+// receiving a higher epoch adopts it. Messages also carry the highest epoch
+// claimed by a publish that has not committed yet, so that publishes on
+// different nodes claim distinct epochs without exposing unwritten ones.
 package gossip
 
 import (
@@ -33,8 +35,10 @@ type Gossiper struct {
 
 	mu        sync.Mutex
 	current   tuple.Epoch
+	claimed   tuple.Epoch // highest epoch claimed by a publish, here or at a peer
 	peers     []ring.NodeID
 	peerSeqs  map[ring.NodeID]uint64
+	lagging   map[ring.NodeID]bool // peers that missed an Announce; not waited for
 	rng       *rand.Rand
 	stop      chan struct{}
 	stopped   bool
@@ -48,17 +52,12 @@ func New(ep transport.Endpoint, seed int64) *Gossiper {
 	g := &Gossiper{
 		ep:       ep,
 		peerSeqs: make(map[ring.NodeID]uint64),
+		lagging:  make(map[ring.NodeID]bool),
 		rng:      rand.New(rand.NewSource(seed)),
 		stop:     make(chan struct{}),
 	}
 	ep.Handle(MsgEpoch, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		// 8 bytes: epoch only (older peers). 16 bytes: epoch | seq.
-		if len(payload) >= 8 {
-			g.merge(tuple.Epoch(binary.BigEndian.Uint64(payload)))
-		}
-		if len(payload) >= 16 {
-			g.noteSeq(from, binary.BigEndian.Uint64(payload[8:]))
-		}
+		g.receive(from, payload)
 		// Reply with our (possibly newer) epoch so pulls work too.
 		return g.encodeCurrent(), nil
 	})
@@ -131,20 +130,82 @@ func (g *Gossiper) Advance(e tuple.Epoch) tuple.Epoch {
 	return g.Current()
 }
 
-// Next claims the next epoch after everything this node has seen: the
-// publish path of §IV ("a logical timestamp (epoch) that advances after
-// each batch of updates is published by a peer").
-func (g *Gossiper) Next() tuple.Epoch {
+// Announce is Advance for an epoch this node just published: it raises
+// the local epoch to at least e, sends it to every peer and waits, bounded
+// by ctx, until each has merged it. A publish that returns is then
+// visible to unpinned queries at every peer that answered in time. One
+// that did not learns the epoch later through periodic gossip, and later
+// announces do not wait for it until it is heard from again. It returns
+// the (possibly higher) local epoch.
+func (g *Gossiper) Announce(ctx context.Context, e tuple.Epoch) tuple.Epoch {
+	payload := g.encodeEpoch(max(g.Current(), e))
+	var wait, nowait []ring.NodeID
 	g.mu.Lock()
-	g.current++
-	e := g.current
-	fn := g.onAdvance
-	g.mu.Unlock()
-	if fn != nil {
-		fn(e)
+	for _, p := range g.peers {
+		if g.lagging[p] {
+			nowait = append(nowait, p)
+		} else {
+			wait = append(wait, p)
+		}
 	}
+	g.mu.Unlock()
+	for _, t := range nowait {
+		_ = g.ep.Send(t, MsgEpoch, payload)
+	}
+	var wg sync.WaitGroup
+	for _, t := range wait {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := g.ep.Request(ctx, t, MsgEpoch, payload)
+			if err != nil {
+				g.mu.Lock()
+				g.lagging[t] = true
+				g.mu.Unlock()
+				return
+			}
+			g.receive(t, resp)
+		}()
+	}
+	g.merge(e) // persists locally while the peers merge
+	wg.Wait()
+	return g.Current()
+}
+
+// Next claims the epoch of a publish (§IV: "a logical timestamp (epoch)
+// that advances after each batch of updates is published by a peer"): one
+// past floor, past everything this node has seen and past every claim it
+// has made or heard of. The claim does not raise Current() — the publisher
+// does that with Announce once the epoch's data is reachable — but it is
+// pushed to Fanout random peers at once and rides on every later gossip
+// message, so that publishes on other nodes claim past it.
+func (g *Gossiper) Next(floor tuple.Epoch) tuple.Epoch {
+	g.mu.Lock()
+	e := max(g.current, g.claimed, floor) + 1
+	g.claimed = e
+	g.mu.Unlock()
 	g.push()
 	return e
+}
+
+// receive merges a gossip message: 8 bytes carry the epoch, 16 add the
+// sender's shipping sequence, 24 add its highest claim.
+func (g *Gossiper) receive(from ring.NodeID, msg []byte) {
+	g.mu.Lock()
+	delete(g.lagging, from)
+	g.mu.Unlock()
+	if len(msg) >= 8 {
+		g.merge(tuple.Epoch(binary.BigEndian.Uint64(msg)))
+	}
+	if len(msg) >= 16 {
+		g.noteSeq(from, binary.BigEndian.Uint64(msg[8:]))
+	}
+	if len(msg) >= 24 {
+		c := tuple.Epoch(binary.BigEndian.Uint64(msg[16:]))
+		g.mu.Lock()
+		g.claimed = max(g.claimed, c)
+		g.mu.Unlock()
+	}
 }
 
 func (g *Gossiper) merge(e tuple.Epoch) {
@@ -160,18 +221,22 @@ func (g *Gossiper) merge(e tuple.Epoch) {
 	}
 }
 
-func (g *Gossiper) encodeCurrent() []byte {
+func (g *Gossiper) encodeCurrent() []byte { return g.encodeEpoch(g.Current()) }
+
+// encodeEpoch builds a gossip message carrying e, this node's shipping
+// sequence and its highest claim.
+func (g *Gossiper) encodeEpoch(e tuple.Epoch) []byte {
 	g.mu.Lock()
-	cur := g.current
-	seqFn := g.seqFn
+	seqFn, claimed := g.seqFn, g.claimed
 	g.mu.Unlock()
 	var seq uint64
 	if seqFn != nil {
 		seq = seqFn()
 	}
-	b := make([]byte, 16)
-	binary.BigEndian.PutUint64(b, uint64(cur))
+	b := make([]byte, 24)
+	binary.BigEndian.PutUint64(b, uint64(e))
 	binary.BigEndian.PutUint64(b[8:], seq)
+	binary.BigEndian.PutUint64(b[16:], uint64(claimed))
 	return b
 }
 
@@ -202,12 +267,8 @@ func (g *Gossiper) Sync(ctx context.Context, peers []ring.NodeID) tuple.Epoch {
 		if p == g.ep.ID() {
 			continue
 		}
-		resp, err := g.ep.Request(ctx, p, MsgEpoch, g.encodeCurrent())
-		if err == nil && len(resp) >= 8 {
-			g.merge(tuple.Epoch(binary.BigEndian.Uint64(resp)))
-			if len(resp) >= 16 {
-				g.noteSeq(p, binary.BigEndian.Uint64(resp[8:]))
-			}
+		if resp, err := g.ep.Request(ctx, p, MsgEpoch, g.encodeCurrent()); err == nil {
+			g.receive(p, resp)
 		}
 	}
 	return g.Current()

@@ -41,29 +41,16 @@ type BackendInfo struct {
 }
 
 // ResultStream receives a query's result incrementally: the column shape
-// once, then zero or more row batches. The server's implementation
-// re-chunks batches to the wire's size bounds and applies flow-control
-// backpressure, so backends may emit batches of any size, as soon as
-// they are produced. Emitted rows are referenced, not copied — backends
-// must not mutate them afterwards.
+// once, then zero or more columnar batches. The server's implementation
+// re-chunks batches to the wire's size bounds — encoding frames straight
+// from the column vectors — and applies flow-control backpressure, so
+// backends may emit batches of any size, as soon as they are produced.
+// Batches are borrowed: the backend may recycle them after the call
+// returns, so implementations must not retain the batch or its vectors.
 type ResultStream interface {
 	// Columns announces the output column names; called exactly once,
-	// before any Batch.
+	// before any batch.
 	Columns(cols []string) error
-	// Batch emits a slice of result rows.
-	Batch(rows []tuple.Row) error
-}
-
-// BatchStream is optionally implemented by a ResultStream that can
-// consume columnar tuple batches directly — the allocation-lean hand-off
-// for backends whose engine produces column vectors. The server's stream
-// writer implements it: wire batch frames are encoded straight from the
-// vectors (re-slicing columns to fit the frame size hints), producing
-// byte-identical frames to the row path for identical content. Batches
-// are borrowed: the backend may recycle them after the call returns, so
-// implementations must not retain the batch or its vectors.
-type BatchStream interface {
-	ResultStream
 	// Batches emits a columnar batch of result rows.
 	Batches(b *tuple.Batch) error
 }

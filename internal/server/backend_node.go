@@ -86,13 +86,12 @@ func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 
 // runQuery parses, plans, and executes one wire query, returning the
 // engine result plus the derived output column names and (when asked
-// for) the plan explanation. columnar asks for the collected answer as
-// a column batch. When req.Trace is set, the returned trace's span tree
-// covers planning and execution; the engine attaches fragment spans
-// under its root. attach (optional) runs after planning, before
+// for) the plan explanation. When req.Trace is set, the returned trace's
+// span tree covers planning and execution; the engine attaches fragment
+// spans under its root. attach (optional) runs after planning, before
 // execution — QueryStream uses it to hook a sink into the engine
 // options for stream-eligible plans.
-func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar bool, attach func(*engine.Plan, *engine.Options, []string)) (*engine.Result, []string, string, *obs.Trace, error) {
+func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, attach func(*engine.Plan, *engine.Options, []string)) (*engine.Result, []string, string, *obs.Trace, error) {
 	var tr *obs.Trace
 	if req.Trace {
 		tr = obs.NewTrace(obs.NewTraceID(), "query", string(b.node.ID()))
@@ -125,11 +124,10 @@ func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar 
 		return names, true
 	})
 	opts := engine.Options{
-		Epoch:          tuple.Epoch(req.Epoch),
-		Recovery:       rec,
-		Provenance:     req.Provenance,
-		ColumnarResult: columnar,
-		Trace:          tr,
+		Epoch:      tuple.Epoch(req.Epoch),
+		Recovery:   rec,
+		Provenance: req.Provenance,
+		Trace:      tr,
 	}
 	if attach != nil {
 		attach(plan, &opts, cols)
@@ -155,14 +153,12 @@ func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar 
 // keeps the collected contract — the engine's exactly-once answer
 // (complete at the initiator) drains to the wire under stream flow
 // control afterwards. Either way there is no wire-encoded copy of the
-// whole result; the stream writer re-chunks into size-bounded frames.
-// Against a BatchStream the answer stays columnar end to end: frames
-// encode straight from the engine's column vectors, which are recycled
+// whole result; the stream writer re-chunks into size-bounded frames
+// encoded straight from the engine's column vectors, which are recycled
 // into the engine's arena after the hand-off.
 func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	bs, batchAware := out.(BatchStream)
-	sink := &nodeSink{out: out, bs: bs}
-	res, cols, explain, tr, err := b.runQuery(ctx, req, batchAware, func(plan *engine.Plan, opts *engine.Options, cols []string) {
+	sink := &nodeSink{out: out}
+	res, cols, explain, tr, err := b.runQuery(ctx, req, func(plan *engine.Plan, opts *engine.Options, cols []string) {
 		if engine.StreamEligible(plan, *opts) {
 			sink.cols = cols
 			opts.Sink = sink
@@ -195,23 +191,15 @@ func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 		return tail, nil
 	}
 	writeSpan := tr.Begin("stream.write")
+	defer engine.RecycleResultBatch(res.Batch)
 	if err := out.Columns(cols); err != nil {
-		engine.RecycleResultBatch(res.Batch) // nil-safe; don't leak the slab
 		return nil, err
 	}
-	rows := int64(len(res.Rows))
-	if res.Batch != nil && batchAware {
-		rows = int64(res.Batch.N)
-		emitErr := error(nil)
-		if res.Batch.N > 0 {
-			emitErr = bs.Batches(res.Batch)
+	rows := int64(res.Batch.N)
+	if rows > 0 {
+		if err := out.Batches(res.Batch); err != nil {
+			return nil, err
 		}
-		engine.RecycleResultBatch(res.Batch)
-		if emitErr != nil {
-			return nil, emitErr
-		}
-	} else if err := out.Batch(res.Rows); err != nil {
-		return nil, err
 	}
 	tail := &QueryTail{
 		Epoch:    uint64(res.Epoch),
@@ -237,12 +225,9 @@ func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 // write error (credit starvation, dead connection) propagates back into
 // the engine, aborting the query.
 type nodeSink struct {
-	out  ResultStream
-	bs   BatchStream // non-nil when the stream consumes columnar batches
-	cols []string    // set when the sink is attached to the engine options
-
+	out     ResultStream
+	cols    []string // set when the sink is attached to the engine options
 	started bool
-	rows    int64
 }
 
 func (s *nodeSink) attached() bool { return s.cols != nil }
@@ -263,20 +248,7 @@ func (s *nodeSink) StreamCols(b *tuple.Batch) error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	s.rows += int64(b.N)
-	if s.bs != nil {
-		return s.bs.Batches(b)
-	}
-	return s.out.Batch(b.Rows())
-}
-
-// StreamRows implements engine.StreamSink.
-func (s *nodeSink) StreamRows(rows []tuple.Row) error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	s.rows += int64(len(rows))
-	return s.out.Batch(rows)
+	return s.out.Batches(b)
 }
 
 // Catalog implements Backend.

@@ -84,6 +84,7 @@ func TestCoerceTypedRows(t *testing.T) {
 
 // stubBackend streams a scripted result: cols and batches (default: one
 // column "one" holding the single row {1}) with tail (default epoch 3).
+// Each scripted row slice goes out as columnar batches (see emitRows).
 // queryDelay, gate and queryErr let tests control execution precisely.
 type stubBackend struct {
 	cols       []string
@@ -128,11 +129,36 @@ func (b *stubBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 				return nil, ctx.Err()
 			}
 		}
-		if err := out.Batch(rows); err != nil {
+		if err := emitRows(out, rows); err != nil {
 			return nil, err
 		}
 	}
 	return &tail, nil
+}
+
+// emitRows hands rows to out as columnar batches, starting a new batch
+// wherever the column types change (a batch column holds one type).
+func emitRows(out ResultStream, rows []tuple.Row) error {
+	for lo := 0; lo < len(rows); {
+		types := make([]tuple.Type, len(rows[lo]))
+		for i, v := range rows[lo] {
+			types[i] = v.T
+		}
+		b := &tuple.Batch{}
+		b.ResetTypes(types)
+		hi := lo
+		for ; hi < len(rows); hi++ {
+			if b.AppendRow(rows[hi]) != nil {
+				b.Truncate(hi - lo) // drop a partly appended row
+				break
+			}
+		}
+		if err := out.Batches(b); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 func (b *stubBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse, error) {

@@ -347,10 +347,11 @@ func DecodeEndPayload(p []byte) (id uint64, end *StreamEnd, err error) {
 // --- server-side stream writer ---
 
 // streamWriter emits one query's result stream over a session. It
-// implements ResultStream for backends: backends hand it row slices as
-// the engine produces them; the writer re-chunks them into size-bounded,
-// type-homogeneous wire batches, encodes each into a pooled buffer, and
-// blocks for flow-control credit when the window is exhausted.
+// implements ResultStream for backends: backends hand it columnar batches
+// as the engine produces them; the writer re-chunks them into
+// size-bounded, type-homogeneous wire batches, encodes each straight from
+// the column vectors into a pooled buffer, and blocks for flow-control
+// credit when the window is exhausted.
 type streamWriter struct {
 	ctx     context.Context
 	sess    *session
@@ -378,16 +379,12 @@ type streamWriter struct {
 	// for latency accounting.
 	onFirst func()
 
-	pending  []tuple.Row  // rows accumulated toward the next batch frame
-	pendSize int          // size hint of pending (rows or columnar)
-	sig      []tuple.Type // type signature of pending content
-	sigFixed int          // bytes per row when sig has no strings (else 0)
-
-	// pendCols stages columnar batches toward the next frame (the
-	// Batches path); at most one of pending/pendCols is non-empty. slice
-	// is the scratch view used to carve spans off inbound batches.
-	pendCols *tuple.Batch
-	slice    tuple.Batch
+	// staged accumulates rows toward the next batch frame; slice is the
+	// scratch view used to carve spans off inbound batches.
+	staged    *tuple.Batch
+	stageSize int // size hint of the staged rows
+	rowFixed  int // bytes per staged row when no column is a string (else 0)
+	slice     tuple.Batch
 }
 
 func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
@@ -422,7 +419,7 @@ func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) 
 }
 
 // Columns implements ResultStream: announces the result shape. Must be
-// called once, before any Batch.
+// called once, before any batch.
 func (w *streamWriter) Columns(cols []string) error {
 	if w.started {
 		return errors.New("server: stream schema already sent")
@@ -440,55 +437,67 @@ func (w *streamWriter) Columns(cols []string) error {
 	return w.sess.write(dst)
 }
 
-// Batch implements ResultStream: stages rows for emission. Rows are
-// referenced, not copied — callers must not mutate them afterwards.
-//
-// Rows are staged span-wise, not one at a time: the writer finds the
-// longest run matching the pending batch's type signature and budget and
-// appends it in one copy. For fixed-width signatures (no string columns)
-// the per-row size hint collapses to a multiplication, so handing a whole
-// engine batch to the frame encoder costs one signature scan per span.
-func (w *streamWriter) Batch(rows []tuple.Row) error {
+// stagingBatchPool recycles the columnar staging buffers across streams.
+var stagingBatchPool = sync.Pool{New: func() any { return &tuple.Batch{} }}
+
+// Batches implements ResultStream: stages a columnar batch for emission,
+// carving frame-sized spans straight off the column vectors — no row is
+// materialized anywhere on this path. A frame is cut when it reaches the
+// target size or row cap, and wherever the column types change (a batch
+// column holds one type). For fixed-width types (no string column) the
+// per-row size hint collapses to a multiplication. The batch is borrowed:
+// the caller may reuse it once the call returns.
+func (w *streamWriter) Batches(b *tuple.Batch) error {
 	if !w.started {
 		return errors.New("server: stream batch before schema")
 	}
-	if w.pendCols != nil && w.pendCols.N > 0 {
-		// Mode switch mid-stream: cut the staged columnar batch first.
-		if err := w.flushCols(); err != nil {
-			return err
-		}
+	if b.N == 0 {
+		return nil
 	}
-	for i := 0; i < len(rows); {
-		if len(w.pending) == 0 {
-			w.setSig(rows[i]) // first row of a batch defines its signature
+	if w.staged == nil {
+		w.staged = stagingBatchPool.Get().(*tuple.Batch)
+		w.staged.ResetTypes(nil)
+	}
+	types := b.Types()
+	for i := 0; i < b.N; {
+		if w.staged.N > 0 && !w.staged.SameTypes(types) {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		if w.staged.N == 0 {
+			w.staged.ResetTypes(nil) // adopt the inbound types
+			w.rowFixed = fixedRowSize(types)
 		}
 		j := i
-		budget := w.targetBytes - w.pendSize
-		roomRows := maxStreamBatchRows - len(w.pending)
-		if fixed := w.sigFixed; fixed > 0 {
-			// The row that crosses the target still goes into the batch,
-			// mirroring the append-then-check cut of the variable path.
+		budget := w.targetBytes - w.stageSize
+		roomRows := maxStreamBatchRows - w.staged.N
+		if fixed := w.rowFixed; fixed > 0 {
+			// The row that crosses the target still goes into the batch.
 			n := budget/fixed + 1
 			if n > roomRows {
 				n = roomRows
 			}
-			for j < len(rows) && j-i < n && w.sigMatches(rows[j]) {
-				j++
+			if j += n; j > b.N {
+				j = b.N
 			}
-			w.pendSize += (j - i) * fixed
+			w.stageSize += (j - i) * fixed
 		} else {
-			for j < len(rows) && budget > 0 && j-i < roomRows && w.sigMatches(rows[j]) {
-				h := tuple.RowSizeHint(rows[j])
-				w.pendSize += h
+			for j < b.N && budget > 0 && j-i < roomRows {
+				h := rowSizeHint(b, j)
+				w.stageSize += h
 				budget -= h
 				j++
 			}
 		}
-		w.pending = append(w.pending, rows[i:j]...)
-		moved := j > i
+		if j > i {
+			b.Slice(i, j, &w.slice)
+			if err := w.staged.AppendBatchInto(&w.slice); err != nil {
+				return err
+			}
+		}
 		i = j
-		if w.pendSize >= w.targetBytes || len(w.pending) >= maxStreamBatchRows ||
-			(i < len(rows) && (!moved || !w.sigMatches(rows[i]))) {
+		if w.stageSize >= w.targetBytes || w.staged.N >= maxStreamBatchRows || i < b.N {
 			if err := w.flush(); err != nil {
 				return err
 			}
@@ -499,130 +508,33 @@ func (w *streamWriter) Batch(rows []tuple.Row) error {
 	// than frame efficiency for the first frame, and a streamed backend's
 	// first chunk may otherwise sit staged while the scan fills the target.
 	// Steady-state frames keep the targetBytes/maxStreamBatchRows cut.
-	if w.batches == 0 && len(w.pending) > 0 {
+	if w.batches == 0 && w.staged.N > 0 {
 		return w.flush()
 	}
 	return nil
 }
 
-// stagingBatchPool recycles the columnar staging buffers across streams.
-var stagingBatchPool = sync.Pool{New: func() any { return &tuple.Batch{} }}
-
-// Batches implements BatchStream: stages a columnar batch for emission,
-// carving frame-sized spans straight off the column vectors — no row is
-// materialized anywhere on this path. The cut arithmetic mirrors Batch's
-// exactly, so identical row content produces byte-identical frames on
-// either path (asserted by TestStreamFramesRowVsBatchIdentical). The
-// batch is borrowed: the caller may reuse it once the call returns.
-func (w *streamWriter) Batches(b *tuple.Batch) error {
-	if !w.started {
-		return errors.New("server: stream batch before schema")
-	}
-	if b.N == 0 {
-		return nil
-	}
-	if len(w.pending) > 0 {
-		// Mode switch mid-stream (a backend mixing row and columnar
-		// emissions): cut the pending row batch first.
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
-	if w.pendCols == nil {
-		w.pendCols = stagingBatchPool.Get().(*tuple.Batch)
-		w.pendCols.ResetTypes(nil)
-	}
-	types := b.Types()
-	for i := 0; i < b.N; {
-		if w.pendCols.N == 0 {
-			w.setSigTypes(types)
-		} else if !w.colSigMatches(types) {
-			if err := w.flushCols(); err != nil {
-				return err
-			}
-			w.setSigTypes(types)
-		}
-		j := i
-		budget := w.targetBytes - w.pendSize
-		roomRows := maxStreamBatchRows - w.pendCols.N
-		if fixed := w.sigFixed; fixed > 0 {
-			// The row that crosses the target still goes into the batch,
-			// mirroring the row path's append-then-check cut.
-			n := budget/fixed + 1
-			if n > roomRows {
-				n = roomRows
-			}
-			if j += n; j > b.N {
-				j = b.N
-			}
-			w.pendSize += (j - i) * fixed
-		} else {
-			for j < b.N && budget > 0 && j-i < roomRows {
-				h := w.colRowSizeHint(b, j)
-				w.pendSize += h
-				budget -= h
-				j++
-			}
-		}
-		if j > i {
-			b.Slice(i, j, &w.slice)
-			if err := w.pendCols.AppendBatchInto(&w.slice); err != nil {
-				return err
-			}
-		}
-		i = j
-		if w.pendSize >= w.targetBytes || w.pendCols.N >= maxStreamBatchRows || i < b.N {
-			if err := w.flushCols(); err != nil {
-				return err
-			}
-		}
-	}
-	// Eager opening-frame cut, mirroring Batch (see the comment there).
-	if w.batches == 0 && w.pendCols != nil && w.pendCols.N > 0 {
-		return w.flushCols()
-	}
-	return nil
-}
-
-// setSigTypes records the type signature (and fixed row width, when no
-// string column exists) of the batch about to be staged. Strings reuse
-// per-row hints; the hint constants mirror setSig/RowSizeHint.
-func (w *streamWriter) setSigTypes(types []tuple.Type) {
-	w.sig = append(w.sig[:0], types...)
-	fixed, variable := 0, false
+// fixedRowSize is the encoded size hint of a row of the given column
+// types, or 0 when a string column makes it vary row to row (the hint
+// constants mirror tuple.RowSizeHint).
+func fixedRowSize(types []tuple.Type) int {
+	n := 0
 	for _, t := range types {
 		switch t {
 		case tuple.Int64:
-			fixed += 5
+			n += 5
 		case tuple.Float64:
-			fixed += 8
+			n += 8
 		default:
-			variable = true
+			return 0
 		}
 	}
-	if variable {
-		fixed = 0
-	}
-	w.sigFixed = fixed
+	return n
 }
 
-// colSigMatches reports whether the inbound batch's types match the
-// staged signature.
-func (w *streamWriter) colSigMatches(types []tuple.Type) bool {
-	if len(types) != len(w.sig) {
-		return false
-	}
-	for i, t := range types {
-		if t != w.sig[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// colRowSizeHint estimates row i's encoded size from the column vectors
+// rowSizeHint estimates row i's encoded size from the column vectors
 // (same constants as tuple.RowSizeHint).
-func (w *streamWriter) colRowSizeHint(b *tuple.Batch, i int) int {
+func rowSizeHint(b *tuple.Batch, i int) int {
 	n := 0
 	for c := range b.Cols {
 		switch b.Cols[c].T {
@@ -637,17 +549,17 @@ func (w *streamWriter) colRowSizeHint(b *tuple.Batch, i int) int {
 	return n
 }
 
-// flushCols encodes and sends the staged columnar rows as one batch
-// frame, straight from the vectors.
-func (w *streamWriter) flushCols() error {
+// flush encodes and sends the staged rows as one batch frame, straight
+// from the vectors, waiting for a flow-control credit first.
+func (w *streamWriter) flush() error {
 	if w.cancelled.Load() {
-		if w.pendCols != nil {
-			w.pendCols.Truncate(0)
+		if w.staged != nil {
+			w.staged.Truncate(0)
 		}
-		w.pendSize = 0
+		w.stageSize = 0
 		return errStreamCancelled
 	}
-	if w.pendCols == nil || w.pendCols.N == 0 {
+	if w.staged == nil || w.staged.N == 0 {
 		return nil
 	}
 	if err := w.waitCredit(); err != nil {
@@ -657,7 +569,7 @@ func (w *streamWriter) flushCols() error {
 	defer putFrameBuf(buf)
 	dst, mark := beginBinaryFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := tuple.AppendBatchCols(dst, w.pendCols, w.compressMin)
+	dst, err := tuple.AppendBatchCols(dst, w.staged, w.compressMin)
 	if err != nil {
 		return err
 	}
@@ -665,58 +577,23 @@ func (w *streamWriter) flushCols() error {
 	if err != nil {
 		return err
 	}
-	w.rows += int64(w.pendCols.N)
+	w.rows += int64(w.staged.N)
 	w.batches++
-	w.pendCols.Truncate(0)
-	w.pendSize = 0
+	w.staged.Truncate(0)
+	w.stageSize = 0
 	*buf = dst[:0]
 	return w.writeBatchFrame(dst)
 }
 
-// releaseStaging returns the columnar staging buffer to the pool (the
-// stream has ended; nothing further will be staged).
+// releaseStaging returns the staging buffer to the pool (the stream has
+// ended; nothing further will be staged).
 func (w *streamWriter) releaseStaging() {
-	if w.pendCols != nil {
-		w.pendCols.Truncate(0)
-		w.pendCols.ClearStrings() // don't pin result strings while pooled
-		stagingBatchPool.Put(w.pendCols)
-		w.pendCols = nil
+	if w.staged != nil {
+		w.staged.Truncate(0)
+		w.staged.ClearStrings() // don't pin result strings while pooled
+		stagingBatchPool.Put(w.staged)
+		w.staged = nil
 	}
-}
-
-// sigMatches reports whether row matches the pending batch's column type
-// signature (EncodeBatch requires type-homogeneous batches; expression
-// results can legally vary row to row, so we cut batches at changes).
-func (w *streamWriter) sigMatches(row tuple.Row) bool {
-	if len(row) != len(w.sig) {
-		return false
-	}
-	for i, v := range row {
-		if v.T != w.sig[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (w *streamWriter) setSig(row tuple.Row) {
-	w.sig = w.sig[:0]
-	fixed, variable := 0, false
-	for _, v := range row {
-		w.sig = append(w.sig, v.T)
-		switch v.T {
-		case tuple.Int64:
-			fixed += 5
-		case tuple.Float64:
-			fixed += 8
-		default:
-			variable = true // per-row hints stay in charge
-		}
-	}
-	if variable {
-		fixed = 0
-	}
-	w.sigFixed = fixed
 }
 
 // errStreamCancelled aborts emission after a client cancel; dispatch
@@ -730,40 +607,6 @@ func (w *streamWriter) cancelReq() {
 	if w.cancelFn != nil {
 		w.cancelFn()
 	}
-}
-
-// flush encodes and sends the pending rows as one batch frame, waiting
-// for a flow-control credit first.
-func (w *streamWriter) flush() error {
-	if w.cancelled.Load() {
-		w.pending = w.pending[:0]
-		w.pendSize = 0
-		return errStreamCancelled
-	}
-	if len(w.pending) == 0 {
-		return nil
-	}
-	if err := w.waitCredit(); err != nil {
-		return err
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameBatch)
-	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := tuple.AppendBatch(dst, w.pending, w.compressMin)
-	if err != nil {
-		return err
-	}
-	dst, err = finishBinaryFrame(dst, mark, w.maxFrame)
-	if err != nil {
-		return err
-	}
-	w.rows += int64(len(w.pending))
-	w.batches++
-	w.pending = w.pending[:0]
-	w.pendSize = 0
-	*buf = dst[:0]
-	return w.writeBatchFrame(dst)
 }
 
 // writeBatchFrame sends one encoded batch frame and fires the first-batch
@@ -784,9 +627,9 @@ func (w *streamWriter) writeBatchFrame(dst []byte) error {
 // any point where the backend is not mid-call (the dispatcher reads it
 // after the backend returns, before the final flush in end()).
 func (w *streamWriter) RowsStaged() int64 {
-	n := w.rows + int64(len(w.pending))
-	if w.pendCols != nil {
-		n += int64(w.pendCols.N)
+	n := w.rows
+	if w.staged != nil {
+		n += int64(w.staged.N)
 	}
 	return n
 }
@@ -818,7 +661,7 @@ func (w *streamWriter) waitCredit() error {
 	}
 }
 
-// end flushes pending rows and sends the terminal frame. When the stream
+// end flushes staged rows and sends the terminal frame. When the stream
 // failed before producing its schema frame, the End frame is still the
 // first and only frame — clients handle End-before-Schema. A tail that
 // will not encode (a plan or error message past the frame cap) is
@@ -831,11 +674,7 @@ func (w *streamWriter) waitCredit() error {
 // counted.
 func (w *streamWriter) end(tail *StreamEnd, settle func(*StreamEnd)) error {
 	if tail.Error == nil {
-		err := w.flush()
-		if err == nil {
-			err = w.flushCols()
-		}
-		if err != nil {
+		if err := w.flush(); err != nil {
 			if errors.Is(err, errStreamCancelled) {
 				tail = &StreamEnd{Error: Errorf(CodeCancelled, "stream cancelled by client")}
 			} else {

@@ -11,12 +11,16 @@ import (
 // in one ordered kvstore; record kinds are distinguished by a one-letter
 // prefix. Tuple records embed the tuple-hash so that a page's tuples are
 // adjacent on disk and can be retrieved "in a single pass through the hash
-// ID range for that page" (§V-B, distributed scan).
+// ID range for that page" (§V-B, distributed scan). A tuple version's key
+// names its relation too: publishes to different relations may share an
+// epoch (each node claims epochs from its own view of the gossip), and
+// two relations' tuples with equal key encodings must not overwrite each
+// other's versions.
 //
-//	c/<relation>                          catalog
-//	r/<relation>\x00<epoch:8>             relation coordinator
-//	p/<relation>\x00<epoch:8><seq:4>      index page
-//	t/<hash:20><keyenc>\x00<epoch:8>      tuple version
+//	c/<relation>                                          catalog
+//	r/<relation>\x00<epoch:8>                             relation coordinator
+//	p/<relation>\x00<epoch:8><seq:4>                      index page
+//	t/<hash:20><len:uvarint><relation><keyenc>\x00<epoch:8> tuple version
 
 func epochBytes(e tuple.Epoch) []byte {
 	var b [8]byte
@@ -58,13 +62,40 @@ func PageKVKey(id PageID) []byte {
 	return append(k, seq[:]...)
 }
 
-// TupleKVKey is the local store key for a tuple version.
-func TupleKVKey(id tuple.ID) []byte {
+// TupleVersionKey is the local store key for a version of one of
+// relation's tuples.
+func TupleVersionKey(relation string, id tuple.ID) []byte {
 	h := id.Hash()
-	k := append([]byte("t/"), h[:]...)
-	k = append(k, id.Key...)
-	k = append(k, 0)
-	return append(k, epochBytes(id.Epoch)...)
+	return AppendTupleVersionKey(make([]byte, 0, TupleVersionKeyLen(relation, id)), relation, h, id)
+}
+
+// TupleVersionKeyLen is the length of TupleVersionKey(relation, id).
+func TupleVersionKeyLen(relation string, id tuple.ID) int {
+	return 2 + keyspace.Size + uvarintLen(uint64(len(relation))) + len(relation) + len(id.Key) + 1 + 8
+}
+
+// AppendTupleVersionKey appends TupleVersionKey(relation, id) to dst,
+// given the tuple's placement hash h (id.Hash(), often cached).
+func AppendTupleVersionKey(dst []byte, relation string, h keyspace.Key, id tuple.ID) []byte {
+	dst = append(dst, 't', '/')
+	dst = append(dst, h[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(relation)))
+	dst = append(dst, relation...)
+	dst = append(dst, id.Key...)
+	dst = append(dst, 0)
+	return binary.BigEndian.AppendUint64(dst, uint64(id.Epoch))
+}
+
+// TupleKVKey is TupleVersionKey for a store that holds the tuples of a
+// single relation, left unnamed.
+func TupleKVKey(id tuple.ID) []byte { return TupleVersionKey("", id) }
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // TupleScanBounds returns the local-store key range [lo, hi) containing all
@@ -91,22 +122,29 @@ func TupleKeyHash(kvKey []byte) (keyspace.Key, bool) {
 	return h, true
 }
 
-// TupleIDFromKVKey reconstructs the tuple ID from a local tuple store key.
-func TupleIDFromKVKey(kvKey []byte) (tuple.ID, bool) {
-	if len(kvKey) < 2+keyspace.Size+1+8 || kvKey[0] != 't' || kvKey[1] != '/' {
-		return tuple.ID{}, false
+// TupleIDFromKVKey reconstructs the relation and tuple ID from a local
+// tuple store key.
+func TupleIDFromKVKey(kvKey []byte) (string, tuple.ID, bool) {
+	if len(kvKey) < 2+keyspace.Size+1+1+8 || kvKey[0] != 't' || kvKey[1] != '/' {
+		return "", tuple.ID{}, false
 	}
 	rest := kvKey[2+keyspace.Size:]
+	rlen, n := binary.Uvarint(rest)
+	if n <= 0 || rlen > uint64(len(rest)-n) {
+		return "", tuple.ID{}, false
+	}
+	relation := string(rest[n : n+int(rlen)])
+	rest = rest[n+int(rlen):]
 	// key encoding, then 0x00 separator, then 8-byte epoch. The key encoding
 	// itself never ends ambiguously because we know the epoch is the final
 	// 8 bytes and the separator precedes it.
 	if len(rest) < 9 {
-		return tuple.ID{}, false
+		return "", tuple.ID{}, false
 	}
 	keyEnc := rest[:len(rest)-9]
 	if rest[len(rest)-9] != 0 {
-		return tuple.ID{}, false
+		return "", tuple.ID{}, false
 	}
 	e := binary.BigEndian.Uint64(rest[len(rest)-8:])
-	return tuple.ID{Key: string(keyEnc), Epoch: tuple.Epoch(e)}, true
+	return relation, tuple.ID{Key: string(keyEnc), Epoch: tuple.Epoch(e)}, true
 }

@@ -527,16 +527,28 @@ func TestTupleKVKeyRoundTrip(t *testing.T) {
 	s := rSchema(t)
 	row := tuple.Row{tuple.S("some-key\x00tricky"), tuple.S("v")}
 	id := tuple.NewID(s, row, 9)
-	kv := TupleKVKey(id)
-	gotHash, ok := TupleKeyHash(kv)
-	if !ok || gotHash != id.Hash() {
-		t.Errorf("TupleKeyHash = %v, %v", gotHash, ok)
+	for _, rel := range []string{"R", ""} {
+		kv := TupleVersionKey(rel, id)
+		if len(kv) != TupleVersionKeyLen(rel, id) {
+			t.Errorf("%q: key length %d, TupleVersionKeyLen %d", rel, len(kv), TupleVersionKeyLen(rel, id))
+		}
+		gotHash, ok := TupleKeyHash(kv)
+		if !ok || gotHash != id.Hash() {
+			t.Errorf("%q: TupleKeyHash = %v, %v", rel, gotHash, ok)
+		}
+		gotRel, gotID, ok := TupleIDFromKVKey(kv)
+		if !ok || gotRel != rel || gotID != id {
+			t.Errorf("%q: TupleIDFromKVKey = %q, %v, %v", rel, gotRel, gotID, ok)
+		}
 	}
-	gotID, ok := TupleIDFromKVKey(kv)
-	if !ok || gotID != id {
-		t.Errorf("TupleIDFromKVKey = %v, %v", gotID, ok)
+	if string(TupleKVKey(id)) != string(TupleVersionKey("", id)) {
+		t.Error("TupleKVKey differs from the unnamed relation's key")
 	}
-	if _, ok := TupleIDFromKVKey([]byte("x/short")); ok {
+	// Equal keys and epochs in two relations are two records.
+	if string(TupleVersionKey("R", id)) == string(TupleVersionKey("S", id)) {
+		t.Error("tuple versions of different relations share a store key")
+	}
+	if _, _, ok := TupleIDFromKVKey([]byte("x/short")); ok {
 		t.Error("bad kv key accepted")
 	}
 }
@@ -548,8 +560,6 @@ func TestTupleScanBounds(t *testing.T) {
 	if wrapped {
 		t.Error("forward range reported wrapped")
 	}
-	kv := TupleKVKey(tuple.ID{Key: "k", Epoch: 0})
-	_ = kv
 	if string(lo[:2]) != "t/" || string(hi[:2]) != "t/" {
 		t.Error("bounds must carry the tuple prefix")
 	}

@@ -54,12 +54,8 @@ type QueryOptions struct {
 	// final pipeline, with durations and row/byte counts.
 	Trace bool
 
-	// columnarResult asks the engine to leave the collected answer
-	// columnar (Result.batch) instead of materializing Rows — set by
-	// QueryBatches for the serving hand-off.
-	columnarResult bool
 	// trace is the minted trace when the SQL path starts timing before
-	// RunPlan (covering parse/optimize); RunPlan mints its own otherwise.
+	// runPlan (covering parse/optimize); runPlan mints its own otherwise.
 	trace *obs.Trace
 	// sink receives result batches during execution for stream-eligible
 	// plans — set by QueryBatches when nothing (view cache, provenance)
@@ -92,17 +88,16 @@ type Result struct {
 	// QueryOptions.Trace was set.
 	TraceID string
 	Trace   *TraceSpan
-	// Streamed counts rows emitted through QueryBatches' callbacks during
+	// Streamed counts rows emitted through QueryBatches' callback during
 	// execution; when positive the answer never existed whole at the
-	// initiator and Rows stays nil.
+	// initiator.
 	Streamed int64
 	// StreamPeak is the high-water mark of result rows buffered at the
 	// initiator while streaming (0 for collected executions).
 	StreamPeak int
 
-	// batch is the columnar answer backing a served result: populated
-	// instead of Rows when the query ran with columnarResult, emitted and
-	// recycled by QueryBatches.
+	// batch is the engine's columnar answer until an edge takes it:
+	// QueryBatches emits it, QueryOpts and RunPlan materialize Rows.
 	batch *tuple.Batch
 }
 
@@ -112,48 +107,41 @@ func (c *Cluster) Query(src string) (*Result, error) {
 	return c.QueryOpts(src, QueryOptions{})
 }
 
-// resultBatchRows is the granularity at which QueryBatches hands rows to
-// its consumer. The wire layer re-chunks by encoded size, so this only
-// bounds how much the emit callback sees at once.
-const resultBatchRows = 1024
-
 // QueryBatches executes a query and emits the answer through callbacks
 // instead of returning it attached to the Result — the serving path for
 // streamed results. start receives the query's metadata (columns, epoch,
-// plan; no rows) exactly once before the first batch. When emitCols is
-// non-nil columnar chunks arrive as tuple.Batch column vectors — no
-// []tuple.Row is materialized at the initiator; emit serves the
-// row-granular cases (view-cache hits, provenance mode, demoting final
-// pipelines). With emitCols nil everything arrives through emit.
+// plan; no rows) exactly once before the first batch; emit receives the
+// answer as tuple.Batch column vectors — no []tuple.Row is materialized
+// at the initiator, whatever the plan, provenance mode or view-cache
+// state.
 //
 // Plans whose final pipeline is compute/limit-only stream *during*
-// execution: chunks reach the callbacks as remote fragments deliver them,
-// so the first batch arrives long before the query completes and the
-// initiator never holds the whole answer (Result.Streamed counts the
-// rows, Result.StreamPeak the buffering high-water mark). Everything else
-// — ORDER BY, aggregates, provenance/incremental recovery (restarts may
+// execution: chunks reach emit as remote fragments deliver them, so the
+// first batch arrives long before the query completes and the initiator
+// never holds the whole answer (Result.Streamed counts the rows,
+// Result.StreamPeak the buffering high-water mark). Everything else —
+// ORDER BY, aggregates, provenance/incremental recovery (restarts may
 // retract partial state), and view-cache-enabled clusters (the cache
 // stores whole answers) — keeps the collect-then-emit contract: the
 // complete, duplicate-free answer set exists at the initiator first and
-// is drained under the consumer's backpressure. Emitted rows and batches
-// alias engine memory, must not be mutated, and are valid only until the
-// callback returns.
-func (c *Cluster) QueryBatches(src string, opts QueryOptions, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
-	opts.columnarResult = emitCols != nil
+// is emitted in one batch (the wire layer re-chunks it by encoded size).
+// Emitted batches alias engine memory, must not be mutated, and are
+// valid only until the callback returns.
+func (c *Cluster) QueryBatches(src string, opts QueryOptions, start func(*Result) error, emit func(b *tuple.Batch) error) (*Result, error) {
 	if !c.viewsUsable(opts) {
-		return c.queryStreamed(src, opts, start, emit, emitCols)
+		return c.queryStreamed(src, opts, start, emit)
 	}
-	res, err := c.QueryOpts(src, opts)
+	res, _, err := c.queryCollected(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	return emitCollected(res, start, emit, emitCols)
+	return emitCollected(res, start, emit)
 }
 
 // viewsUsable mirrors viewLookup's gate without touching the cache's
-// hit/miss counters: when it reports true, QueryOpts will consult (and
+// hit/miss counters: when it reports true, a query will consult (and
 // possibly fill) the view cache, so QueryBatches must take the collected
-// path — cached entries are whole-answer row sets.
+// path — cached entries are whole answers.
 func (c *Cluster) viewsUsable(opts QueryOptions) bool {
 	c.mu.Lock()
 	views := c.views
@@ -162,35 +150,15 @@ func (c *Cluster) viewsUsable(opts QueryOptions) bool {
 }
 
 // emitCollected hands a collected answer to the QueryBatches callbacks:
-// metadata first, then the rows in resultBatchRows chunks (or the whole
-// columnar batch at once — the wire layer re-chunks by encoded size).
-func emitCollected(res *Result, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
+// metadata first, then the whole batch at once.
+func emitCollected(res *Result, start func(*Result) error, emit func(b *tuple.Batch) error) (*Result, error) {
 	meta := *res
-	meta.Rows = nil
 	meta.batch = nil
-	if res.batch != nil {
-		// Installed before any callback so an error exit (a client gone
-		// mid-schema) still returns the slab to the arena.
-		defer engine.RecycleResultBatch(res.batch)
-	}
 	if err := start(&meta); err != nil {
 		return nil, err
 	}
-	if res.batch != nil && emitCols != nil {
-		if res.batch.N > 0 {
-			if err := emitCols(res.batch); err != nil {
-				return nil, err
-			}
-		}
-		return &meta, nil
-	}
-	rows := res.Rows
-	for lo := 0; lo < len(rows); lo += resultBatchRows {
-		hi := lo + resultBatchRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if err := emit(rows[lo:hi]); err != nil {
+	if res.batch.N > 0 {
+		if err := emit(res.batch); err != nil {
 			return nil, err
 		}
 	}
@@ -203,11 +171,10 @@ func emitCollected(res *Result, start func(*Result) error, emit func(rows []tupl
 // pre-derived metadata start hands over; queryStreamed fills in the
 // completion fields afterwards.
 type batchEmitSink struct {
-	meta     *Result
-	start    func(*Result) error
-	emit     func(rows []tuple.Row) error
-	emitCols func(b *tuple.Batch) error
-	started  bool
+	meta    *Result
+	start   func(*Result) error
+	emit    func(b *tuple.Batch) error
+	started bool
 }
 
 func (s *batchEmitSink) begin() error {
@@ -218,16 +185,6 @@ func (s *batchEmitSink) begin() error {
 	return s.start(s.meta)
 }
 
-func (s *batchEmitSink) StreamRows(rows []tuple.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := s.begin(); err != nil {
-		return err
-	}
-	return s.emit(rows)
-}
-
 func (s *batchEmitSink) StreamCols(b *tuple.Batch) error {
 	if b.N == 0 {
 		return nil
@@ -235,18 +192,15 @@ func (s *batchEmitSink) StreamCols(b *tuple.Batch) error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	if s.emitCols != nil {
-		return s.emitCols(b)
-	}
-	return s.emit(b.Rows())
+	return s.emit(b)
 }
 
-// queryStreamed is QueryBatches' during-execution path: parse and
+// queryStreamed is QueryBatches' path without the view cache: parse and
 // optimize up front so the start callback's metadata (columns, plan,
 // epoch) exists before the engine runs, then attach a sink when the plan
 // is stream-eligible. Ineligible plans come back collected and are
-// emitted the classic way.
-func (c *Cluster) queryStreamed(src string, opts QueryOptions, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
+// emitted whole, then recycled.
+func (c *Cluster) queryStreamed(src string, opts QueryOptions, start func(*Result) error, emit func(b *tuple.Batch) error) (*Result, error) {
 	if opts.Node < 0 || opts.Node >= len(c.engines) {
 		return nil, fmt.Errorf("orchestra: no node %d", opts.Node)
 	}
@@ -277,17 +231,18 @@ func (c *Cluster) queryStreamed(src string, opts QueryOptions, start func(*Resul
 		if opts.trace != nil {
 			meta.TraceID = opts.trace.ID.String()
 		}
-		sink = &batchEmitSink{meta: meta, start: start, emit: emit, emitCols: emitCols}
+		sink = &batchEmitSink{meta: meta, start: start, emit: emit}
 		opts.sink = sink
 	}
-	res, err := c.RunPlan(plan, opts)
+	res, err := c.runPlan(plan, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Columns = cols
 	res.Plan = explain
 	if sink == nil {
-		return emitCollected(res, start, emit, emitCols)
+		defer engine.RecycleResultBatch(res.batch)
+		return emitCollected(res, start, emit)
 	}
 	// Streamed (possibly an empty answer): finish the handshake if no
 	// chunk ever fired it, then fill the completion metadata into the
@@ -301,26 +256,34 @@ func (c *Cluster) queryStreamed(src string, opts QueryOptions, start func(*Resul
 
 // QueryOpts parses, optimizes, and executes a single-block SQL query.
 func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
-	if hit, key, views := c.viewLookup(src, opts); views != nil {
-		if hit != nil {
-			return hit, nil
-		}
-		opts.Epoch = key.epoch // pin the epoch the cache entry will be keyed by
-		res, err := c.queryUncached(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		if res.batch != nil && res.Rows == nil {
-			// The cache stores rows (hits are served repeatedly, long
-			// after the columnar slab is recycled), so a columnar answer
-			// materializes here; the batch stays attached for the caller's
-			// hand-off.
-			res.Rows = res.batch.Rows()
-		}
-		c.viewStore(key, views, res)
-		return res, nil
+	res, shared, err := c.queryCollected(src, opts)
+	if err != nil {
+		return nil, err
 	}
-	return c.queryUncached(src, opts)
+	res.fillRows(!shared)
+	return res, nil
+}
+
+// queryCollected runs a query to a collected answer (res.batch), through
+// the view cache when it is enabled. shared reports that the cache owns
+// the batch — a hit, or a fresh answer just stored — so it must never be
+// recycled.
+func (c *Cluster) queryCollected(src string, opts QueryOptions) (res *Result, shared bool, err error) {
+	hit, key, views := c.viewLookup(src, opts)
+	if views == nil {
+		res, err := c.queryUncached(src, opts)
+		return res, false, err
+	}
+	if hit != nil {
+		return hit, true, nil
+	}
+	opts.Epoch = key.epoch // pin the epoch the cache entry will be keyed by
+	res, err = c.queryUncached(src, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	views.put(&viewEntry{key: key, batch: res.batch, cols: res.Columns, plan: res.Plan})
+	return res, true, nil
 }
 
 func (c *Cluster) queryUncached(src string, opts QueryOptions) (*Result, error) {
@@ -338,13 +301,27 @@ func (c *Cluster) queryUncached(src string, opts QueryOptions) (*Result, error) 
 	}
 	opts.trace.End(planSpan)
 	opts.trace.Attach(nil, planSpan)
-	res, err := c.RunPlan(plan, opts)
+	res, err := c.runPlan(plan, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Columns = outputColumns(q, c)
 	res.Plan = optimizer.Explain(plan, info)
 	return res, nil
+}
+
+// fillRows materializes the columnar answer into Rows — the embedded
+// API's form — and drops the batch, returning it to the engine's arena
+// when recycle is set.
+func (r *Result) fillRows(recycle bool) {
+	if r.batch == nil {
+		return
+	}
+	r.Rows = r.batch.Rows()
+	if recycle {
+		engine.RecycleResultBatch(r.batch)
+	}
+	r.batch = nil
 }
 
 // initiatorID names a node for trace spans ("" when out of range — the
@@ -370,6 +347,16 @@ func (c *Cluster) liveNodes() int {
 // RunPlan executes a (finalized or finalizable) engine plan directly —
 // the escape hatch used by benchmarks that hand-build plans.
 func (c *Cluster) RunPlan(plan *engine.Plan, opts QueryOptions) (*Result, error) {
+	res, err := c.runPlan(plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.fillRows(true)
+	return res, nil
+}
+
+// runPlan is RunPlan leaving the answer in res.batch.
+func (c *Cluster) runPlan(plan *engine.Plan, opts QueryOptions) (*Result, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Minute
 	}
@@ -383,18 +370,16 @@ func (c *Cluster) RunPlan(plan *engine.Plan, opts QueryOptions) (*Result, error)
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 	defer cancel()
 	eres, err := c.engines[opts.Node].Run(ctx, plan, engine.Options{
-		Provenance:     opts.Provenance,
-		Recovery:       opts.Recovery,
-		Epoch:          opts.Epoch,
-		ColumnarResult: opts.columnarResult,
-		Trace:          tr,
-		Sink:           opts.sink,
+		Provenance: opts.Provenance,
+		Recovery:   opts.Recovery,
+		Epoch:      opts.Epoch,
+		Trace:      tr,
+		Sink:       opts.sink,
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Rows:       eres.Rows,
 		batch:      eres.Batch,
 		Epoch:      eres.Epoch,
 		Phases:     eres.Phases,

@@ -267,50 +267,34 @@ func (b *clusterBackend) queryOptions(ctx context.Context, req *server.QueryRequ
 	return opts, nil
 }
 
-// QueryStream implements server.Backend: the result flows to
-// the wire as row batches under the stream's flow control, never as one
-// materialized wire-encoded response. Against a BatchStream the engine's
-// columnar answer is handed over as column vectors — batch frames are
-// encoded straight from them, with no row materialization anywhere
+// QueryStream implements server.Backend: the result flows to the wire as
+// columnar batches under the stream's flow control, never as one
+// materialized wire-encoded response — batch frames are encoded straight
+// from the engine's column vectors, with no row materialization anywhere
 // between the B-tree pass and the wire.
 func (b *clusterBackend) QueryStream(ctx context.Context, req *server.QueryRequest, out server.ResultStream) (*server.QueryTail, error) {
 	opts, err := b.queryOptions(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	emit := out.Batch
-	var emitCols func(*tuple.Batch) error
-	if bs, ok := out.(server.BatchStream); ok {
-		emitCols = bs.Batches
-	}
+	emit := out.Batches
 	// With tracing on, time the wire writes: emission happens inside
-	// QueryBatches (rows alias engine memory until it returns), so the
-	// span is accumulated through wrappers and attached afterwards.
+	// QueryBatches (batches alias engine memory until it returns), so the
+	// span is accumulated through a wrapper and attached afterwards.
 	var writeUs, writeRows, writeBatches int64
 	if opts.Trace {
-		emit = func(rows []tuple.Row) error {
+		emit = func(batch *tuple.Batch) error {
 			t0 := time.Now()
-			err := out.Batch(rows)
+			err := out.Batches(batch)
 			writeUs += time.Since(t0).Microseconds()
-			writeRows += int64(len(rows))
+			writeRows += int64(batch.N)
 			writeBatches++
 			return err
-		}
-		if emitCols != nil {
-			inner := emitCols
-			emitCols = func(batch *tuple.Batch) error {
-				t0 := time.Now()
-				err := inner(batch)
-				writeUs += time.Since(t0).Microseconds()
-				writeRows += int64(batch.N)
-				writeBatches++
-				return err
-			}
 		}
 	}
 	res, err := b.c.QueryBatches(req.SQL, opts,
 		func(meta *Result) error { return out.Columns(meta.Columns) },
-		emit, emitCols)
+		emit)
 	if err != nil {
 		return nil, wireQueryError(err)
 	}

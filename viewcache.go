@@ -32,11 +32,13 @@ type viewKey struct {
 	epoch Epoch
 }
 
+// viewEntry is one cached answer. Its batch is immutable and shared by
+// every hit: it is never recycled into the engine's arena.
 type viewEntry struct {
-	key  viewKey
-	rows []tuple.Row
-	cols []string
-	plan string
+	key   viewKey
+	batch *tuple.Batch
+	cols  []string
+	plan  string
 }
 
 func newViewCache(max int) *viewCache {
@@ -128,11 +130,9 @@ func (c *Cluster) viewLookup(src string, opts QueryOptions) (*Result, viewKey, *
 	}
 	k := viewKey{sql: src, epoch: epoch}
 	if e, ok := views.get(k); ok {
-		rows := make([]tuple.Row, len(e.rows))
-		copy(rows, e.rows)
 		res := &Result{
 			Columns: e.cols,
-			Rows:    rows,
+			batch:   e.batch,
 			Epoch:   k.epoch,
 			Phases:  1,
 			Plan:    e.plan,
@@ -145,7 +145,7 @@ func (c *Cluster) viewLookup(src string, opts QueryOptions) (*Result, viewKey, *
 			tr := obs.NewTrace(obs.NewTraceID(), "query", c.initiatorID(opts.Node))
 			root := tr.Root()
 			root.CacheHits = 1
-			root.Rows = int64(len(rows))
+			root.Rows = int64(e.batch.N)
 			tr.Finish()
 			res.TraceID = tr.ID.String()
 			res.Trace = root
@@ -153,12 +153,4 @@ func (c *Cluster) viewLookup(src string, opts QueryOptions) (*Result, viewKey, *
 		return res, k, views
 	}
 	return nil, k, views
-}
-
-// viewStore records a completed query in the cache.
-func (c *Cluster) viewStore(k viewKey, views *viewCache, res *Result) {
-	if views == nil {
-		return
-	}
-	views.put(&viewEntry{key: k, rows: res.Rows, cols: res.Columns, plan: res.Plan})
 }
